@@ -76,7 +76,7 @@ def _parse_point(text: str, d: int) -> list[float]:
 
 
 def _print_json(doc) -> None:
-    print(json.dumps(doc))
+    print(json.dumps(doc, allow_nan=False))
 
 
 def _csv_out(header, rows) -> None:

@@ -39,8 +39,10 @@ class IndexOutOfRange(LineTreesError):
 
 
 class NonConvergence(LineTreesError):
-    """Fixed-point iteration failed to stabilize within its step bound;
-    signals an implementation bug."""
+    """An iterative method failed to stabilize within its step bound.
+
+    Nothing in the package raises it at present (the series solver is exact
+    degree by degree); it stays public and the CLI maps it to exit code 4."""
 
 
 class RootFindingFailure(LineTreesError):

@@ -19,6 +19,7 @@ with multiplicity within a documented clustering radius.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,6 +85,8 @@ def build_char_polynomial(d: int, point: Sequence[complex]) -> CharPolynomial:
     gs = tuple(complex(g) for g in point)
     if len(gs) != d:
         raise DomainError(f"point has {len(gs)} entries, expected d={d}")
+    if not all(cmath.isfinite(g) for g in gs):
+        raise DomainError(f"point entries must be finite, got {point}")
     elementary: list[complex] = [1 + 0j]
     for g in gs:
         nxt = elementary + [0j]
@@ -144,8 +147,8 @@ def rouche_isolation_check(
     one root lies inside, and it is the principal root (the branch of F).
     Inadmissible points still get a full report, just no guarantee.
     """
-    if radius <= 1:
-        raise DomainError(f"radius must exceed 1, got {radius}")
+    if not 1 < radius < math.inf:
+        raise DomainError(f"radius must be finite and exceed 1, got {radius}")
     epsilon = (radius ** (1.0 / q.d) - 1.0) / radius
     admissible = max(abs(g) for g in q.point) < epsilon
     base = roots_all(q, residual_tol)

@@ -5,24 +5,27 @@ The generating function F(g_1, ..., g_D) of the tree family satisfies
     F = sum_{k=0..D} e_k(g) * F^k,
 
 where e_k is the k-th elementary symmetric polynomial of the variables.
-`solve_tree_equation` finds the unique solution with constant term 1 by
-fixed-point iteration, which is exact at any truncation order because each
-pass locks in one more total degree.  `closed_form_series` assembles the
-level-n series directly from the counting formula; the verify_* functions
-compare the two routes coefficient by coefficient.
+`solve_tree_equation` finds the unique solution with constant term 1 one
+total degree at a time: e_k is homogeneous of degree k, so the degree-m part
+of F depends only on parts of F below degree m.  `closed_form_series`
+assembles the level-n series directly from the counting formula; the
+verify_* functions compare the two routes coefficient by coefficient.
 
 Coefficients are arbitrary-precision integers throughout; truncation is by
-total degree, so every identity checked here is closed under it.
+total degree, so every identity checked here is closed under it.  Products
+work degree by degree too: a pair of terms whose total degree exceeds the
+order is never formed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable, Sequence
 
 from .combinatorics import ColorProfile, closed_form_count, profiles_with_total
-from .errors import BudgetExceeded, DomainError, NonConvergence
+from .errors import BudgetExceeded, DomainError
 from .verification import Mismatch, VerificationReport
 
 # Default per-d ceilings on the truncation order.
@@ -111,14 +114,12 @@ class MultiSeries:
                 self.d, self.order, {k: v * other for k, v in self.coeffs.items()}
             )
         self._require_same_shape(other)
+        left = _by_degree(self.coeffs, self.order)
+        right = _by_degree(other.coeffs, self.order)
         out: dict[tuple[int, ...], int] = {}
-        for pa, ca in self.coeffs.items():
-            deg_a = sum(pa)
-            for pb, cb in other.coeffs.items():
-                if deg_a + sum(pb) > self.order:
-                    continue
-                key = tuple(x + y for x, y in zip(pa, pb))
-                out[key] = out.get(key, 0) + ca * cb
+        for deg_a, terms in enumerate(left):
+            for bucket in right[: self.order - deg_a + 1]:
+                _accumulate(out, terms, bucket)
         return MultiSeries(self.d, self.order, out)
 
     __rmul__ = __mul__
@@ -155,6 +156,27 @@ class MultiSeries:
             "order": self.order,
             "coeffs": [{"p": list(p), "c": str(c)} for p, c in self.items_sorted()],
         }
+
+
+_Terms = list[tuple[tuple[int, ...], int]]
+
+
+def _by_degree(coeffs: dict[tuple[int, ...], int], order: int) -> list[_Terms]:
+    """The terms of a series, bucketed by total degree 0..order."""
+    buckets: list[_Terms] = [[] for _ in range(order + 1)]
+    for key, value in coeffs.items():
+        buckets[sum(key)].append((key, value))
+    return buckets
+
+
+def _accumulate(out: dict[tuple[int, ...], int], left: _Terms, right: _Terms) -> None:
+    """Add the product of every term of ``left`` with every term of ``right``
+    into ``out``; callers pick the degree buckets so that none is discarded."""
+    get = out.get
+    for pa, ca in left:
+        for pb, cb in right:
+            key = tuple(map(add, pa, pb))
+            out[key] = get(key, 0) + ca * cb
 
 
 def _horner(coeffs: dict[tuple[int, ...], int], point: tuple[complex, ...]) -> complex:
@@ -202,27 +224,34 @@ def solve_tree_equation(
 ) -> MultiSeries:
     """Unique series solution with constant term 1 of F = sum_k e_k F^k.
 
-    Fixed-point iteration from F=1: each pass fixes one more total degree,
-    so iterates must agree within order+1 passes; failing to stabilize in
-    order+2 passes signals a bug and raises NonConvergence.
+    Solved one total degree m = 1..order at a time.  Because e_k is
+    homogeneous of degree k, the degree-m part of F is
+
+        [F]_m = sum_{k>=1} e_k * [F^k]_{m-k},
+
+    which uses only parts of F below degree m.  Once [F]_m is known, every
+    power is extended by one degree, [F^k]_m = sum_a [F]_a * [F^{k-1}]_{m-a},
+    keeping F^k only up to degree order-k, the most [F]_order needs.  Each
+    coefficient is computed once, exactly, so there is no iteration and no
+    convergence test.
     """
     if d < 2:
         raise DomainError(f"need d >= 2 colors, got {d}")
     _check_order(d, order, max_order)
-    elementary = elementary_symmetric_series(d, order)
-    current = MultiSeries.constant(d, order, 1)
-    for _ in range(order + 2):
-        nxt = elementary[0]
-        power = MultiSeries.constant(d, order, 1)
-        for k in range(1, d + 1):
-            power = power * current
-            nxt = nxt + elementary[k] * power
-        if nxt == current:
-            return current
-        current = nxt
-    raise NonConvergence(
-        f"fixed point did not stabilize within {order + 2} passes (d={d}, order={order})"
-    )
+    elementary = [list(e.coeffs.items()) for e in elementary_symmetric_series(d, order)]
+    # powers[k][m] holds the terms of [F^k]_m; powers[1] is F itself.
+    powers = [[elementary[0]] for _ in range(d + 1)]
+    for m in range(1, order + 1):
+        part: dict[tuple[int, ...], int] = {}
+        for k in range(1, min(d, m) + 1):
+            _accumulate(part, elementary[k], powers[k][m - k])
+        powers[1].append(list(part.items()))
+        for k in range(2, min(d, order - m) + 1):
+            part = {}
+            for a in range(m + 1):
+                _accumulate(part, powers[1][a], powers[k - 1][m - a])
+            powers[k].append(list(part.items()))
+    return MultiSeries(d, order, dict(itertools.chain.from_iterable(powers[1])))
 
 
 def closed_form_series(
@@ -282,9 +311,10 @@ def verify_geometric(
     power = base
     report = VerificationReport("geometric", d, {"n_max": n_max, "order": order})
     for n in range(1, n_max + 1):
+        if n > 1:
+            power = power * base
         direct = closed_form_series(d, n, order, max_order=max_order)
         report.failures.extend(_collect_mismatches(direct, power, {"n": n}))
-        power = power * base
     return report
 
 

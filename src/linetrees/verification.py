@@ -15,6 +15,7 @@ from .combinatorics import (
     narayana,
     profiles_with_total,
 )
+from .errors import DomainError
 from .trees import count_by_profile_bruteforce
 
 
@@ -57,6 +58,8 @@ def verify_fuss_catalan_rows(d: int, p_max: int) -> VerificationReport:
     """Check that profile counts at fixed total sum to the d-Catalan numbers:
     sum over profiles with P-1 edges of count(profile) == fuss_catalan_total(d, P).
     """
+    if p_max < 1:
+        raise DomainError(f"p_max must be >= 1 to check any row, got {p_max}")
     report = VerificationReport("fuss-catalan", d, {"p_max": p_max})
     for p_vertices in range(1, p_max + 1):
         row_sum = sum(
@@ -74,6 +77,8 @@ def verify_narayana_bridge(max_total: int) -> VerificationReport:
 
     Two colors only; the Narayana triangle is a two-color statement.
     """
+    if max_total < 0:
+        raise DomainError(f"max_total must be >= 0, got {max_total}")
     report = VerificationReport("narayana", 2, {"max_total": max_total})
     for total in range(max_total + 1):
         for p in profiles_with_total(2, total):

@@ -132,6 +132,21 @@ def test_verify_narayana_wrong_d_exits_2(capsys):
     assert run(capsys, "verify", "narayana", "--d", "3", "--order", "4")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "fuss-catalan", "--d", "2", "--order", "0"),
+        ("verify", "fuss-catalan", "--d", "3", "--order", "-1"),
+        ("verify", "narayana", "--d", "2", "--order", "-1"),
+    ],
+)
+def test_verify_checking_nothing_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_unknown_kind_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus", "--d", "2", "--order", "4"])
@@ -165,6 +180,22 @@ def test_roots_zero_residual_tol_exits_4(capsys):
 def test_roots_bad_point_exits_2(capsys):
     assert run(capsys, "roots", "--d", "2", "--g", "0.1")[0] == 2
     assert run(capsys, "roots", "--d", "2", "--g", "0.1,oops")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--g", "nan,0.1"),
+        ("--g", "0.1,inf"),
+        ("--g", "0.1,0.1", "--radius", "nan"),
+        ("--g", "0.1,0.1", "--radius", "inf"),
+    ],
+)
+def test_roots_non_finite_input_exits_2(capsys, extra):
+    code, out, err = run(capsys, "roots", "--d", "2", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
 
 
 def test_sample_deterministic_bytes(capsys):

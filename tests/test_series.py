@@ -19,6 +19,7 @@ from linetrees.series import (
     verify_geometric,
     verify_linear_recursion,
     _collect_mismatches,
+    _max_order_cap,
 )
 from linetrees.trees import count_by_profile_bruteforce
 
@@ -91,6 +92,12 @@ def test_closed_form_series_matches_solution():
     assert closed_form_series(2, 1, 8) == solve_tree_equation(2, 8)
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_solution_matches_closed_form_at_order_cap(d):
+    cap = _max_order_cap(d)
+    assert solve_tree_equation(d, cap) == closed_form_series(d, 1, cap)
+
+
 def test_closed_form_series_known_coefficients():
     series2 = closed_form_series(2, 2, 4)
     assert series2.coefficient((1, 0)) == 2
@@ -150,6 +157,9 @@ def test_series_arithmetic_basics():
     assert (a - a).coeffs == {}
     assert (3 * a).coeffs == {(1, 0): 6}
     assert (a * b).coeffs == {(1, 1): 10, (2, 0): -4}
+    # (x + y)(x - y): the xy terms cancel and are dropped
+    c = MultiSeries(2, 3, {(1, 0): 1, (0, 1): 1})
+    assert (c * MultiSeries(2, 3, {(1, 0): 1, (0, 1): -1})).coeffs == {(2, 0): 1, (0, 2): -1}
     assert (a ** 0).coeffs == {(0, 0): 1}
     with pytest.raises(DomainError):
         a + MultiSeries(3, 3, {})
@@ -175,6 +185,49 @@ small_series = st.dictionaries(exponents, st.integers(-9, 9), max_size=8).map(
 def test_ring_laws_under_truncation(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
+
+
+def naive_product(a, b):
+    """All-pairs reference product: form every pair, then truncate."""
+    out = {}
+    for pa, ca in a.coeffs.items():
+        for pb, cb in b.coeffs.items():
+            key = tuple(x + y for x, y in zip(pa, pb))
+            out[key] = out.get(key, 0) + ca * cb
+    return MultiSeries(a.d, a.order, out)
+
+
+@st.composite
+def sparse_series_pairs(draw):
+    d = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 7))
+
+    @st.composite
+    def exponent(draw, low, high):
+        total = draw(st.integers(low, high))
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=d - 1, max_size=d - 1)))
+        return tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+
+    def series():
+        # each operand gets its own degree band, so one may sit on low degrees
+        # and the other on high ones; some totals run past the order
+        low = draw(st.integers(0, order))
+        high = draw(st.integers(low, order + 2))
+        coeffs = draw(st.dictionaries(exponent(low, high), st.integers(-5, 5), max_size=10))
+        return MultiSeries(d, order, coeffs)
+
+    return series(), series()
+
+
+@given(sparse_series_pairs())
+@settings(max_examples=100, deadline=None)
+def test_graded_mul_matches_all_pairs_reference(pair):
+    a, b = pair
+    # (a + b) * (a - b) cancels its cross terms to zero inside one product
+    for left, right in ((a, b), (a + b, a - b)):
+        product = left * right
+        assert product == naive_product(left, right)
+        assert 0 not in product.coeffs.values()
 
 
 def test_evaluate_constant():
