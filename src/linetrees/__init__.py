@@ -12,7 +12,7 @@ from .combinatorics import (
     narayana,
     profiles_with_total,
 )
-from .counting import ProfileCountTable, SampleRequest, SplitMix64, recursive_count, sample_uniform, unrank
+from .counting import ProfileCountTable, SampleRequest, SplitMix64
 from .errors import (
     BudgetExceeded,
     ColorError,
@@ -22,7 +22,6 @@ from .errors import (
     IndexOutOfRange,
     IntegralityViolation,
     LineTreesError,
-    NonConvergence,
     ParseError,
     RootFindingFailure,
 )
@@ -38,7 +37,6 @@ from .series import (
     MultiSeries,
     closed_form_series,
     elementary_symmetric_series,
-    evaluate,
     solve_tree_equation,
     verify_convolution,
     verify_geometric,

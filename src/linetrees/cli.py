@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import __version__
-from .combinatorics import DEFAULT_MAX_COLORS, ColorProfile, closed_form_count
+from .combinatorics import ColorProfile, closed_form_count
 from .counting import ProfileCountTable, SampleRequest
 from .errors import (
     BudgetExceeded,
@@ -23,14 +23,14 @@ from .errors import (
     DomainError,
     IndexOutOfRange,
     IntegralityViolation,
-    NonConvergence,
     ParseError,
     RootFindingFailure,
 )
+from .limits import DEFAULT_TREE_BUDGET, MAX_COLORS, check_cap
 from .roots import DEFAULT_RESIDUAL_TOL, build_char_polynomial, rouche_isolation_check
 from .series import closed_form_series, solve_tree_equation
 from .series import verify_convolution, verify_geometric, verify_linear_recursion
-from .trees import DEFAULT_TREE_BUDGET, encode, enumerate_by_lines
+from .trees import encode, enumerate_by_lines
 from .verification import verify_fuss_catalan_rows, verify_narayana_bridge, verify_oracle
 
 EXIT_OK = 0
@@ -52,8 +52,8 @@ MAX_REPORTED_FAILURES = 100
 
 
 def _check_d(d: int) -> int:
-    if d < 2 or d > DEFAULT_MAX_COLORS:
-        raise DomainError(f"--d must be in 2..{DEFAULT_MAX_COLORS}, got {d}")
+    if d < 2 or d > MAX_COLORS:
+        raise DomainError(f"--d must be in 2..{MAX_COLORS}, got {d}")
     return d
 
 
@@ -89,6 +89,8 @@ def _run_count(args) -> int:
     profile = _parse_profile(args.profile, _check_d(args.d))
     if args.n < 1:
         raise DomainError(f"--n must be >= 1, got {args.n}")
+    check_cap("count profile total", profile.total)
+    check_cap("level", args.n)
     value = closed_form_count(profile, args.n)
     if args.format == "json":
         _print_json({"profile": list(profile.counts), "n": args.n, "count": str(value)})
@@ -104,8 +106,7 @@ def _run_count(args) -> int:
 
 def _run_enumerate(args) -> int:
     d = _check_d(args.d)
-    budget = args.max_trees if args.max_trees is not None else DEFAULT_TREE_BUDGET
-    stream = enumerate_by_lines(d, args.max_lines, max_trees=budget)
+    stream = enumerate_by_lines(d, args.max_lines, max_trees=args.max_trees)
     if args.format == "csv":
         print("tree")
     for tree in stream:
@@ -119,6 +120,7 @@ def _run_enumerate(args) -> int:
 
 def _run_series(args) -> int:
     d = _check_d(args.d)
+    check_cap("level", args.n)
     if args.n == 1:
         result = solve_tree_equation(d, args.order, max_order=args.max_order)
     else:
@@ -138,16 +140,22 @@ def _run_verify(args) -> int:
     d = _check_d(args.d)
     kind = args.kind
     if kind == "recursion":
+        check_cap("n_max", args.n_max)
         report = verify_linear_recursion(d, args.n_max, args.order, max_order=args.max_order)
     elif kind == "geometric":
+        check_cap("n_max", args.n_max)
         report = verify_geometric(d, args.n_max, args.order, max_order=args.max_order)
     elif kind == "convolution":
+        check_cap("level", args.n)
+        check_cap("level", args.m)
         report = verify_convolution(d, args.n, args.m, args.order, max_order=args.max_order)
     elif kind == "fuss-catalan":
+        check_cap("fuss-catalan order", args.order, d)
         report = verify_fuss_catalan_rows(d, args.order)
     elif kind == "narayana":
         if d != 2:
             raise DomainError("narayana verification is defined only for d=2")
+        check_cap("narayana order", args.order)
         report = verify_narayana_bridge(args.order)
     else:
         report = verify_oracle(d, args.order, max_trees=args.max_trees)
@@ -206,6 +214,7 @@ def _run_roots(args) -> int:
 def _run_sample(args) -> int:
     d = _check_d(args.d)
     profile = _parse_profile(args.profile, d)
+    check_cap("sample count", args.count)
     request = SampleRequest(profile, args.count, args.seed)
     table = ProfileCountTable(d)
     samples = table.sample_uniform(request)
@@ -226,9 +235,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "csv", "text"), default="json", help="output format"
     )
-    common.add_argument("--max-order", type=int, default=None, help="override the series order cap")
-    common.add_argument("--max-trees", type=int, default=None, help="override the enumeration budget")
-    common.add_argument("--seed", type=int, default=0, help="64-bit seed for sampling")
+    max_order = argparse.ArgumentParser(add_help=False)
+    max_order.add_argument(
+        "--max-order", type=int, default=None, help="override the series order cap"
+    )
+    max_trees = argparse.ArgumentParser(add_help=False)
+    max_trees.add_argument(
+        "--max-trees", type=int, default=DEFAULT_TREE_BUDGET, help="enumeration budget in trees"
+    )
 
     parser = argparse.ArgumentParser(
         prog="linetrees",
@@ -242,16 +256,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1, help="level (power of the generating function)")
     p.set_defaults(handler=_run_count)
 
-    p = sub.add_parser("enumerate", parents=[common], help="stream all trees up to a line budget")
+    p = sub.add_parser(
+        "enumerate", parents=[common, max_trees], help="stream all trees up to a line budget"
+    )
     p.add_argument("--max-lines", type=int, required=True, help="maximum total line count")
     p.set_defaults(handler=_run_enumerate)
 
-    p = sub.add_parser("series", parents=[common], help="truncated generating-function coefficients")
+    p = sub.add_parser(
+        "series", parents=[common, max_order], help="truncated generating-function coefficients"
+    )
     p.add_argument("--order", type=int, required=True, help="truncation order (total degree)")
     p.add_argument("--n", type=int, default=1, help="level; 1 solves the functional equation")
     p.set_defaults(handler=_run_series)
 
-    p = sub.add_parser("verify", parents=[common], help="run a coefficient-level identity check")
+    p = sub.add_parser(
+        "verify",
+        parents=[common, max_order, max_trees],
+        help="run a coefficient-level identity check",
+    )
     p.add_argument("kind", choices=VERIFY_KINDS)
     p.add_argument(
         "--order",
@@ -278,6 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", parents=[common], help="uniform random trees with a fixed profile")
     p.add_argument("--profile", required=True, help="comma-separated per-color line counts")
     p.add_argument("--count", type=int, required=True, help="number of samples")
+    p.add_argument("--seed", type=int, default=0, help="64-bit seed for sampling")
     p.set_defaults(handler=_run_sample)
 
     return parser
@@ -291,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (NonConvergence, RootFindingFailure, IntegralityViolation) as exc:
+    except (RootFindingFailure, IntegralityViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (DomainError, ParseError, ColorError, DegenerateError, IndexOutOfRange) as exc:

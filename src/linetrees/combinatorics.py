@@ -25,13 +25,10 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DomainError, IntegralityViolation
+from .limits import MAX_COLORS
 
 # Counts are plain Python ints: arbitrary precision, never rounded.
 CountValue = int
-
-# Largest number of colors accepted by default; keeps the profile spaces
-# walked by verifiers desk-sized.
-DEFAULT_MAX_COLORS = 8
 
 
 @dataclass(frozen=True)
@@ -44,9 +41,9 @@ class ColorProfile:
     def __post_init__(self):
         if not isinstance(self.d, int) or self.d < 2:
             raise DomainError(f"need an integer number of colors >= 2, got {self.d!r}")
-        if self.d > DEFAULT_MAX_COLORS:
+        if self.d > MAX_COLORS:
             raise DomainError(
-                f"d={self.d} exceeds the supported maximum of {DEFAULT_MAX_COLORS} colors"
+                f"d={self.d} exceeds the supported maximum of {MAX_COLORS} colors"
             )
         counts = tuple(self.counts)
         if len(counts) != self.d:

@@ -28,17 +28,11 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .combinatorics import ColorProfile, CountValue
-from .errors import BudgetExceeded, DomainError, IndexOutOfRange
+from .errors import DomainError, IndexOutOfRange
+from .limits import check_cap
 from .trees import ColoredTree
 
-# Default per-d ceilings on the profile total; the memo tables stay small.
-_DEFAULT_MAX_TOTALS = {2: 30, 3: 15}
-
 _MASK64 = (1 << 64) - 1
-
-
-def _default_max_total(d: int) -> int:
-    return _DEFAULT_MAX_TOTALS.get(d, 10)
 
 
 @dataclass(frozen=True)
@@ -103,15 +97,14 @@ class ProfileCountTable:
 
     The memo is shared across calls on one instance only; independent
     instances never interact, so confining a table to one worker is safe.
+    ``max_total`` overrides the profile-total cap of the limits table.
     """
 
     def __init__(self, d: int, max_total: int | None = None):
         if d < 2:
             raise DomainError(f"need d >= 2 colors, got {d}")
         self.d = d
-        self.max_total = _default_max_total(d) if max_total is None else max_total
-        if self.max_total < 0:
-            raise DomainError(f"max_total must be >= 0, got {self.max_total}")
+        self.max_total = max_total
         # Subsets of colors in ascending bitmask order; bit i-1 <=> color i.
         self._subsets = tuple(
             tuple(color for color in range(1, d + 1) if mask >> (color - 1) & 1)
@@ -123,10 +116,7 @@ class ProfileCountTable:
     def _check(self, profile: ColorProfile) -> tuple[int, ...]:
         if profile.d != self.d:
             raise DomainError(f"profile has d={profile.d}, table has d={self.d}")
-        if profile.total > self.max_total:
-            raise BudgetExceeded(
-                f"profile total {profile.total} exceeds the cap of {self.max_total}"
-            )
+        check_cap("profile total", profile.total, self.d, self.max_total)
         return profile.counts
 
     def recursive_count(self, profile: ColorProfile) -> CountValue:
@@ -244,18 +234,3 @@ def _subtract(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 def _vectors_upto(bound: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """All vectors 0 <= q <= bound componentwise, in lexicographic order."""
     return itertools.product(*(range(b + 1) for b in bound))
-
-
-def recursive_count(profile: ColorProfile, *, max_total: int | None = None) -> CountValue:
-    """One-shot count; builds a fresh table (see ProfileCountTable to reuse)."""
-    return ProfileCountTable(profile.d, max_total).recursive_count(profile)
-
-
-def unrank(profile: ColorProfile, index: int, *, max_total: int | None = None) -> ColoredTree:
-    """One-shot unranking; builds a fresh table."""
-    return ProfileCountTable(profile.d, max_total).unrank(profile, index)
-
-
-def sample_uniform(request: SampleRequest, *, max_total: int | None = None) -> list[ColoredTree]:
-    """One-shot sampling; builds a fresh table."""
-    return ProfileCountTable(request.profile.d, max_total).sample_uniform(request)

@@ -31,18 +31,11 @@ class ColorOrderError(ColorError):
 
 
 class BudgetExceeded(LineTreesError):
-    """A configured enumeration, order, or profile cap would be exceeded."""
+    """A cap of the limits table, or an override of it, would be exceeded."""
 
 
 class IndexOutOfRange(LineTreesError):
     """Unranking index is not below the number of trees with the profile."""
-
-
-class NonConvergence(LineTreesError):
-    """An iterative method failed to stabilize within its step bound.
-
-    Nothing in the package raises it at present (the series solver is exact
-    degree by degree); it stays public and the CLI maps it to exit code 4."""
 
 
 class RootFindingFailure(LineTreesError):

@@ -1,0 +1,67 @@
+"""Every size limit of the package, in one table, behind one check.
+
+Each cap keeps the work or the output of one command bounded: any input the
+caps accept finishes in about ten seconds or less, and no decimal count
+printed by the CLI reaches Python's 4300-digit limit on int-to-str
+conversion.  The README's
+"Budgets and caps" table lists these values with the worst measured time at
+each.  Caps keyed by the number of colors d hold one entry per d in
+2..MAX_COLORS.
+"""
+
+from __future__ import annotations
+
+from .errors import BudgetExceeded, DomainError
+
+# Largest number of colors; keeps the profile spaces walked by verifiers
+# desk-sized.
+MAX_COLORS = 8
+
+# Trees one enumeration may produce unless the caller sets another budget.
+DEFAULT_TREE_BUDGET = 10**7
+
+CAPS: dict[str, int | dict[int, int]] = {
+    # Series truncation order: series, verify recursion|geometric|convolution.
+    "order": {2: 20, 3: 12, 4: 8, 5: 8, 6: 8, 7: 8, 8: 8},
+    # Enumeration line count: enumerate --max-lines, verify oracle --order.
+    "max_lines": {2: 8, 3: 8, 4: 5, 5: 4, 6: 4, 7: 4, 8: 4},
+    # Profile total of a ProfileCountTable (sample); keeps the memo small.
+    "profile total": {2: 30, 3: 15, 4: 10, 5: 10, 6: 10, 7: 10, 8: 10},
+    # count --profile total and the level n of count, series and verify
+    # convolution: at 1000 and 1000 a count has at most 1613 digits (d=8).
+    "count profile total": 1000,
+    "level": 1000,
+    # verify recursion|geometric --n-max.
+    "n_max": 5,
+    # verify fuss-catalan and narayana --order: the largest orders whose
+    # walk covers at most 10^4 profiles.
+    "fuss-catalan order": {2: 140, 3: 38, 4: 20, 5: 14, 6: 11, 7: 9, 8: 8},
+    "narayana order": 139,
+    # sample --count.
+    "sample count": 2000,
+}
+
+
+def check_cap(name: str, value: int, d: int | None = None, override: int | None = None) -> None:
+    """Require ``0 <= value <= cap``.
+
+    The cap is ``override`` when given, else ``CAPS[name]``, taken for ``d``
+    colors when that cap is per-d.  Raises DomainError for a negative value
+    or override, or for a d outside 2..MAX_COLORS, and BudgetExceeded when
+    ``value`` exceeds the cap.
+    """
+    if value < 0:
+        raise DomainError(f"{name} must be >= 0, got {value}")
+    if override is not None:
+        if override < 0:
+            raise DomainError(f"the {name} cap must be >= 0, got {override}")
+        cap = override
+    else:
+        cap = CAPS[name]
+        if isinstance(cap, dict):
+            if d not in cap:
+                raise DomainError(f"d must be in 2..{MAX_COLORS}, got {d}")
+            cap = cap[d]
+    if value > cap:
+        where = "" if d is None else f" for d={d}"
+        raise BudgetExceeded(f"{name} {value} exceeds the cap of {cap}{where}")

@@ -94,6 +94,8 @@ def build_char_polynomial(d: int, point: Sequence[complex]) -> CharPolynomial:
             nxt[k] += g * elementary[k - 1]
         elementary = nxt
     elementary[1] -= 1
+    if not all(cmath.isfinite(c) for c in elementary):
+        raise DomainError(f"point {point} is too large: the coefficients of Q are not finite")
     return CharPolynomial(d, gs, tuple(elementary))
 
 
@@ -119,7 +121,10 @@ def roots_all(q: CharPolynomial, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> 
 
     Every reported root r must satisfy |Q(r)| <= residual_tol * max|coeff|;
     otherwise RootFindingFailure carries the best residual achieved.
+    ``residual_tol`` must be finite and >= 0.
     """
+    if not 0 <= residual_tol < math.inf:
+        raise DomainError(f"residual_tol must be finite and >= 0, got {residual_tol}")
     coeffs = q.deflated()
     if len(coeffs) < 2:
         raise DegenerateError(
@@ -129,7 +134,7 @@ def roots_all(q: CharPolynomial, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> 
     found = [complex(r) for r in raw]
     scale = max(abs(c) for c in coeffs)
     residual_max = max((abs(q(r)) for r in found), default=0.0)
-    if residual_max > residual_tol * scale:
+    if not residual_max <= residual_tol * scale:
         raise RootFindingFailure(
             f"root residual {residual_max:.3e} exceeds {residual_tol:.1e} * {scale:.3e}",
             best_residual=residual_max,

@@ -25,23 +25,9 @@ from operator import add
 from typing import Iterable, Sequence
 
 from .combinatorics import ColorProfile, closed_form_count, profiles_with_total
-from .errors import BudgetExceeded, DomainError
+from .errors import DomainError
+from .limits import check_cap
 from .verification import Mismatch, VerificationReport
-
-# Default per-d ceilings on the truncation order.
-_DEFAULT_MAX_ORDERS = {2: 20, 3: 12}
-
-
-def _max_order_cap(d: int) -> int:
-    return _DEFAULT_MAX_ORDERS.get(d, 8)
-
-
-def _check_order(d: int, order: int, max_order: int | None) -> None:
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order}")
-    cap = _max_order_cap(d) if max_order is None else max_order
-    if order > cap:
-        raise BudgetExceeded(f"order {order} exceeds the cap of {cap} for d={d}")
 
 
 @dataclass(frozen=True)
@@ -196,11 +182,6 @@ def _horner(coeffs: dict[tuple[int, ...], int], point: tuple[complex, ...]) -> c
     return result
 
 
-def evaluate(series: MultiSeries, point: Sequence[complex]) -> complex:
-    """Module-level alias for :meth:`MultiSeries.evaluate`."""
-    return series.evaluate(point)
-
-
 def elementary_symmetric_series(d: int, order: int) -> list[MultiSeries]:
     """The elementary symmetric polynomials e_0=1, e_1, ..., e_d as series.
 
@@ -237,7 +218,7 @@ def solve_tree_equation(
     """
     if d < 2:
         raise DomainError(f"need d >= 2 colors, got {d}")
-    _check_order(d, order, max_order)
+    check_cap("order", order, d, max_order)
     elementary = [list(e.coeffs.items()) for e in elementary_symmetric_series(d, order)]
     # powers[k][m] holds the terms of [F^k]_m; powers[1] is F itself.
     powers = [[elementary[0]] for _ in range(d + 1)]
@@ -260,7 +241,7 @@ def closed_form_series(
     """Level-n series assembled directly from the closed-form counts."""
     if n < 1:
         raise DomainError(f"level n must be >= 1, got {n}")
-    _check_order(d, order, max_order)
+    check_cap("order", order, d, max_order)
     coeffs: dict[tuple[int, ...], int] = {}
     for total in range(order + 1):
         for p in profiles_with_total(d, total):
@@ -285,7 +266,7 @@ def verify_linear_recursion(
     with every F_m built from the closed form (F_0 = 1)."""
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    _check_order(d, order, max_order)
+    check_cap("order", order, d, max_order)
     elementary = elementary_symmetric_series(d, order)
     levels = {0: MultiSeries.constant(d, order, 1)}
     for m in range(1, n_max + d + 1):
@@ -306,7 +287,7 @@ def verify_geometric(
     functional-equation solution, for n = 1..n_max."""
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    _check_order(d, order, max_order)
+    check_cap("order", order, d, max_order)
     base = solve_tree_equation(d, order, max_order=max_order)
     power = base
     report = VerificationReport("geometric", d, {"n_max": n_max, "order": order})
@@ -326,7 +307,7 @@ def verify_convolution(
     total <= order."""
     if n < 1 or m < 1:
         raise DomainError(f"levels must be >= 1, got n={n}, m={m}")
-    _check_order(d, order, max_order)
+    check_cap("order", order, d, max_order)
     product = closed_form_series(d, n, order, max_order=max_order) * closed_form_series(
         d, m, order, max_order=max_order
     )

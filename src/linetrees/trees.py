@@ -21,21 +21,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .combinatorics import ColorProfile, CountValue
-from .errors import BudgetExceeded, ColorError, ColorOrderError, DomainError, ParseError
+from .combinatorics import ColorProfile, CountValue, profiles_with_total
+from .errors import ColorError, ColorOrderError, DomainError, ParseError
+from .limits import DEFAULT_TREE_BUDGET, check_cap
 
 # The canonical encoding is a plain string over '(', ')', ',', ':' and digits.
 CanonicalEncoding = str
-
-# Hard ceiling on the number of trees one enumeration may produce.
-DEFAULT_TREE_BUDGET = 10**7
-
-# Default ceiling on max_lines per color count; enumeration is exponential.
-_DEFAULT_MAX_LINES = {2: 8, 3: 8, 4: 5}
-
-
-def _max_lines_cap(d: int) -> int:
-    return _DEFAULT_MAX_LINES.get(d, 4)
 
 
 @dataclass(frozen=True)
@@ -151,37 +142,24 @@ def _parse_color(text: str, pos: int, d: int) -> tuple[int, int]:
 
 
 def enumerate_by_lines(
-    d: int,
-    max_lines: int,
-    *,
-    max_lines_cap: int | None = None,
-    max_trees: int = DEFAULT_TREE_BUDGET,
+    d: int, max_lines: int, *, max_trees: int = DEFAULT_TREE_BUDGET
 ) -> Iterator[ColoredTree]:
     """Yield every valid tree with at most ``max_lines`` edges, exactly once.
 
     Trees come out in increasing order of total edge count and, within one
     count, in lexicographic order of their canonical encodings.  The stream
     is fully deterministic.  Raises BudgetExceeded when ``max_lines`` is
-    beyond the configured cap or the tree budget would be exceeded.
+    beyond its cap for d or the tree budget would be exceeded.
     """
     if d < 2:
         raise DomainError(f"need d >= 2 colors, got {d}")
-    if max_lines < 0:
-        raise DomainError(f"max_lines must be >= 0, got {max_lines}")
-    cap = _max_lines_cap(d) if max_lines_cap is None else max_lines_cap
-    if max_lines > cap:
-        raise BudgetExceeded(
-            f"max_lines={max_lines} exceeds the cap of {cap} for d={d}"
-        )
+    check_cap("max_lines", max_lines, d)
     levels: list[list[ColoredTree]] = []
     emitted = 0
     for lines in range(max_lines + 1):
         level = _trees_with_exact_lines(d, lines, levels)
         emitted += len(level)
-        if emitted > max_trees:
-            raise BudgetExceeded(
-                f"enumeration would exceed the budget of {max_trees} trees"
-            )
+        check_cap("tree count", emitted, override=max_trees)
         level.sort(key=encode)
         levels.append(level)
         yield from level
@@ -197,27 +175,14 @@ def _trees_with_exact_lines(
     out: list[ColoredTree] = []
     for arity in range(1, min(d, lines) + 1):
         for colors in itertools.combinations(range(1, d + 1), arity):
-            for sizes in _compositions(lines - arity, arity):
+            for sizes in profiles_with_total(arity, lines - arity):
                 for subtrees in itertools.product(*(smaller[s] for s in sizes)):
                     out.append(ColoredTree(tuple(zip(colors, subtrees))))
     return out
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def count_by_profile_bruteforce(
-    d: int,
-    max_total: int,
-    *,
-    max_lines_cap: int | None = None,
-    max_trees: int = DEFAULT_TREE_BUDGET,
+    d: int, max_total: int, *, max_trees: int = DEFAULT_TREE_BUDGET
 ) -> dict[ColorProfile, CountValue]:
     """Tally the enumeration by color profile.
 
@@ -225,9 +190,7 @@ def count_by_profile_bruteforce(
     (every profile is realized by at least one chain).
     """
     tally: dict[ColorProfile, CountValue] = {}
-    for tree in enumerate_by_lines(
-        d, max_total, max_lines_cap=max_lines_cap, max_trees=max_trees
-    ):
+    for tree in enumerate_by_lines(d, max_total, max_trees=max_trees):
         profile = ColorProfile(d, profile_counts(tree, d))
         tally[profile] = tally.get(profile, 0) + 1
     return tally

@@ -16,6 +16,7 @@ from .combinatorics import (
     profiles_with_total,
 )
 from .errors import DomainError
+from .limits import DEFAULT_TREE_BUDGET
 from .trees import count_by_profile_bruteforce
 
 
@@ -90,18 +91,11 @@ def verify_narayana_bridge(max_total: int) -> VerificationReport:
 
 
 def verify_oracle(
-    d: int,
-    max_total: int,
-    *,
-    max_lines_cap: int | None = None,
-    max_trees: int | None = None,
+    d: int, max_total: int, *, max_trees: int = DEFAULT_TREE_BUDGET
 ) -> VerificationReport:
     """Compare the brute-force enumeration tally with the closed form for
     every profile with total <= max_total."""
-    kwargs: dict = {"max_lines_cap": max_lines_cap}
-    if max_trees is not None:
-        kwargs["max_trees"] = max_trees
-    tally = count_by_profile_bruteforce(d, max_total, **kwargs)
+    tally = count_by_profile_bruteforce(d, max_total, max_trees=max_trees)
     report = VerificationReport("oracle", d, {"max_total": max_total})
     for total in range(max_total + 1):
         for p in profiles_with_total(d, total):

@@ -23,7 +23,6 @@ from linetrees.counting import ProfileCountTable, SampleRequest
 from linetrees.roots import build_char_polynomial, rouche_isolation_check
 from linetrees.series import (
     closed_form_series,
-    evaluate,
     solve_tree_equation,
     verify_convolution,
     verify_geometric,
@@ -128,7 +127,7 @@ def test_criterion_9_root_isolation():
     s = 1 - 0.2
     x0 = (s - math.sqrt(s * s - 4 * 0.01)) / (2 * 0.01)
     assert abs(report.principal_root - x0) < 1e-9
-    series_value = evaluate(solve_tree_equation(2, 20), (0.1, 0.1))
+    series_value = solve_tree_equation(2, 20).evaluate((0.1, 0.1))
     assert abs(report.principal_root - series_value) < 1e-6
     elapsed = time.time() - start
     assert elapsed < 10
@@ -137,7 +136,7 @@ def test_criterion_9_root_isolation():
 
 def test_criterion_10_growth_bound():
     for n in range(1, 7):
-        value = evaluate(closed_form_series(2, n, 12), (0.05, 0.05))
+        value = closed_form_series(2, n, 12).evaluate((0.05, 0.05))
         assert value.imag == 0
         assert value.real <= 2**n
     _ok(10, "truncated level-n values bounded by 2^n at g=0.05")

@@ -3,10 +3,13 @@
 import csv
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from linetrees.cli import main
+from linetrees.cli import VERIFY_KINDS, main
 
 
 def run(capsys, *argv):
@@ -225,3 +228,157 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# One cheap invocation per subcommand, and the override flags each one reads.
+BASE_ARGV = {
+    "count": ("count", "--d", "2", "--profile", "1,1"),
+    "enumerate": ("enumerate", "--d", "2", "--max-lines", "1"),
+    "series": ("series", "--d", "2", "--order", "1"),
+    "verify": ("verify", "oracle", "--d", "2", "--order", "1"),
+    "roots": ("roots", "--d", "2", "--g", "0.1,0.1"),
+    "sample": ("sample", "--d", "2", "--profile", "1,0", "--count", "1"),
+}
+READS = {
+    "enumerate": {"--max-trees"},
+    "series": {"--max-order"},
+    "verify": {"--max-order", "--max-trees"},
+    "sample": {"--seed"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(BASE_ARGV))
+@pytest.mark.parametrize("flag", ["--max-order", "--max-trees", "--seed"])
+def test_subcommands_accept_only_the_flags_they_read(capsys, command, flag):
+    argv = [*BASE_ARGV[command], flag, "5"]
+    if flag in READS.get(command, ()):
+        assert run(capsys, *argv)[0] == 0
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+BIG = "1" + "0" * 2200
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        # count: profile-total and level caps keep every count under 4300 digits
+        (("count", "--d", "2", "--profile", "10000,10000"), 3),
+        (("count", "--d", "8", "--profile", ",".join(["125"] * 7 + ["126"])), 3),
+        (("count", "--d", "2", "--profile", "1,1", "--n", BIG), 3),
+        (("count", "--d", "2", "--profile", "1,1", "--n", "1001"), 3),
+        (("count", "--d", "2", "--profile", "40,40"), 0),
+        # series and verify convolution: level cap
+        (("series", "--d", "2", "--order", "20", "--n", "1" + "0" * 300), 3),
+        (("series", "--d", "2", "--order", "2", "--n", "1001"), 3),
+        (("series", "--d", "2", "--order", "20", "--n", "1000"), 0),
+        (("verify", "convolution", "--d", "2", "--order", "2", "--n", "1001"), 3),
+        (("verify", "convolution", "--d", "2", "--order", "2", "--m", "1001"), 3),
+        # verify recursion|geometric --n-max
+        (("verify", "recursion", "--d", "2", "--order", "2", "--n-max", "100000"), 3),
+        (("verify", "recursion", "--d", "2", "--order", "2", "--n-max", "6"), 3),
+        (("verify", "geometric", "--d", "2", "--order", "2", "--n-max", "6"), 3),
+        (("verify", "geometric", "--d", "2", "--order", "2", "--n-max", "5"), 0),
+        # verify narayana and fuss-catalan --order
+        (("verify", "narayana", "--d", "2", "--order", "140"), 3),
+        (("verify", "narayana", "--d", "2", "--order", "139"), 0),
+        (("verify", "fuss-catalan", "--d", "2", "--order", "141"), 3),
+        (("verify", "fuss-catalan", "--d", "2", "--order", "140"), 0),
+        (("verify", "fuss-catalan", "--d", "3", "--order", "39"), 3),
+        (("verify", "fuss-catalan", "--d", "4", "--order", "21"), 3),
+        (("verify", "fuss-catalan", "--d", "5", "--order", "15"), 3),
+        (("verify", "fuss-catalan", "--d", "6", "--order", "12"), 3),
+        (("verify", "fuss-catalan", "--d", "7", "--order", "10"), 3),
+        (("verify", "fuss-catalan", "--d", "8", "--order", "9"), 3),
+        (("verify", "fuss-catalan", "--d", "8", "--order", "30"), 3),
+        # sample --count
+        (("sample", "--d", "2", "--profile", "1,0", "--count", "2001"), 3),
+        (("sample", "--d", "2", "--profile", "1,0", "--count", "2000"), 0),
+        # negative overrides are usage errors, not budget errors
+        (("enumerate", "--d", "2", "--max-lines", "2", "--max-trees", "-1"), 2),
+        (("verify", "oracle", "--d", "2", "--order", "2", "--max-trees", "-1"), 2),
+        (("series", "--d", "2", "--order", "2", "--max-order", "-1"), 2),
+        (("verify", "recursion", "--d", "2", "--order", "2", "--max-order", "-1"), 2),
+        # invalid residual tolerances and points whose polynomial overflows
+        (("roots", "--d", "2", "--g", "0.1,0.1", "--residual-tol", "nan"), 2),
+        (("roots", "--d", "2", "--g", "0.1,0.1", "--residual-tol", "inf"), 2),
+        (("roots", "--d", "2", "--g", "0.1,0.1", "--residual-tol=-1"), 2),
+        (("roots", "--d", "2", "--g", "1e300,1e300"), 2),
+    ],
+)
+def test_caps_and_invalid_values(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code == 0:
+        for line in out.splitlines():
+            json.loads(line)
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_count_at_its_caps_prints_the_largest_count(capsys):
+    profile = ",".join(["125"] * 8)
+    code, out, _ = run(capsys, "count", "--d", "8", "--profile", profile, "--n", "1000")
+    assert code == 0
+    assert len(json.loads(out)["count"]) == 1613
+
+
+# Fuzzed argv: d is 2..4, other values are small integers (one per color for
+# --profile and --g), and at most one value or list entry is replaced by a
+# wild one: zero, negative, huge, non-finite or not a number.  Override
+# flags never get a wild value, so no input can ask for uncapped work.
+SMALL = st.integers(1, 4).map(str)
+WILD = st.sampled_from(
+    ["0", "-1", "-7", "1" + "0" * 400, BIG, "1e400", "nan", "inf", "-inf", "0.5", "x", ""]
+)
+OVERRIDES = {"--max-order", "--max-trees"}
+LISTS = {"--profile", "--g"}
+FLAGS = {
+    "count": ["--profile", "--n"],
+    "enumerate": ["--max-lines", "--max-trees"],
+    "series": ["--order", "--n", "--max-order"],
+    "verify": ["--order", "--n-max", "--n", "--m", "--max-order", "--max-trees"],
+    "roots": ["--g", "--radius", "--residual-tol"],
+    "sample": ["--profile", "--count", "--seed"],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from(VERIFY_KINDS)))
+    if draw(st.integers(0, 3)):
+        argv.append(f"--format={draw(st.sampled_from(['json', 'csv', 'text']))}")
+    d = draw(st.integers(2, 4))
+    flags = ["--d", *FLAGS[command]]
+    wild = draw(st.sampled_from([None, *(f for f in flags if f not in OVERRIDES)]))
+    for flag in flags:
+        if flag != wild and not draw(st.integers(0, 5)):
+            continue
+        size = d if flag in LISTS else 1
+        values = [str(d)] if flag == "--d" else draw(st.lists(SMALL, min_size=size, max_size=size))
+        if flag == wild:
+            values[draw(st.integers(0, len(values) - 1))] = draw(WILD)
+        argv.append(f"{flag}={','.join(values)}")
+    return argv
+
+
+@given(cli_argv())
+@settings(max_examples=300, deadline=None)
+def test_fuzz_main_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in {0, 1, 2, 3, 4}
+    if code == 0 and not {"--format=csv", "--format=text"} & set(argv):
+        for line in out.getvalue().splitlines():
+            json.loads(line)

@@ -5,14 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linetrees.combinatorics import ColorProfile, closed_form_count, profiles_with_total
-from linetrees.counting import (
-    ProfileCountTable,
-    SampleRequest,
-    SplitMix64,
-    recursive_count,
-    sample_uniform,
-    unrank,
-)
+from linetrees.counting import ProfileCountTable, SampleRequest, SplitMix64
 from linetrees.errors import BudgetExceeded, DomainError, IndexOutOfRange
 from linetrees.trees import encode, enumerate_by_lines, profile_counts, validate
 
@@ -25,9 +18,10 @@ def brute_force_sets(d, max_total):
 
 
 def test_recursive_count_known_values():
-    assert recursive_count(ColorProfile(2, (0, 0))) == 1
-    assert recursive_count(ColorProfile(2, (1, 1))) == 3
-    assert recursive_count(ColorProfile(2, (2, 1))) == 6
+    table = ProfileCountTable(2)
+    assert table.recursive_count(ColorProfile(2, (0, 0))) == 1
+    assert table.recursive_count(ColorProfile(2, (1, 1))) == 3
+    assert table.recursive_count(ColorProfile(2, (2, 1))) == 6
 
 
 @pytest.mark.parametrize("d,max_total", [(2, 6), (3, 6), (4, 4)])
@@ -44,7 +38,7 @@ def test_triple_agreement(d, max_total):
 
 
 def test_unrank_singleton():
-    assert encode(unrank(ColorProfile(2, (1, 0)), 0)) == "(1:())"
+    assert encode(ProfileCountTable(2).unrank(ColorProfile(2, (1, 0)), 0)) == "(1:())"
 
 
 def test_unrank_documented_order_for_1_1():
@@ -57,11 +51,12 @@ def test_unrank_documented_order_for_1_1():
 
 
 def test_unrank_out_of_range():
+    table = ProfileCountTable(2)
     profile = ColorProfile(2, (1, 1))
     with pytest.raises(IndexOutOfRange):
-        unrank(profile, 3)
+        table.unrank(profile, 3)
     with pytest.raises(IndexOutOfRange):
-        unrank(profile, -1)
+        table.unrank(profile, -1)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -89,7 +84,7 @@ def test_budget_cap():
     with pytest.raises(BudgetExceeded):
         table.recursive_count(ColorProfile(2, (3, 2)))
     with pytest.raises(BudgetExceeded):
-        recursive_count(ColorProfile(3, (8, 8, 0)))
+        ProfileCountTable(3).recursive_count(ColorProfile(3, (8, 8, 0)))
 
 
 def test_table_rejects_foreign_profile():
@@ -145,18 +140,18 @@ def test_sample_request_validation():
 
 def test_sample_singleton_support():
     request = SampleRequest(ColorProfile(2, (1, 0)), 5, 99)
-    assert [encode(t) for t in sample_uniform(request)] == ["(1:())"] * 5
+    assert [encode(t) for t in ProfileCountTable(2).sample_uniform(request)] == ["(1:())"] * 5
 
 
 def test_sample_determinism():
     request = SampleRequest(ColorProfile(3, (1, 1, 1)), 50, 42)
-    first = [encode(t) for t in sample_uniform(request)]
-    second = [encode(t) for t in sample_uniform(request)]
+    first = [encode(t) for t in ProfileCountTable(3).sample_uniform(request)]
+    second = [encode(t) for t in ProfileCountTable(3).sample_uniform(request)]
     assert first == second
 
 
 def test_sample_marginals():
     request = SampleRequest(ColorProfile(2, (2, 1)), 200, 7)
-    for tree in sample_uniform(request):
+    for tree in ProfileCountTable(2).sample_uniform(request):
         assert validate(tree, 2)
         assert profile_counts(tree, 2) == (2, 1)

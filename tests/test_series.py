@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 
 from linetrees.combinatorics import ColorProfile, closed_form_count, profiles_with_total
 from linetrees.errors import BudgetExceeded, DomainError
+from linetrees.limits import CAPS
 from linetrees.series import (
     MultiSeries,
     closed_form_series,
     elementary_symmetric_series,
-    evaluate,
     solve_tree_equation,
     verify_convolution,
     verify_geometric,
     verify_linear_recursion,
     _collect_mismatches,
-    _max_order_cap,
 )
 from linetrees.trees import count_by_profile_bruteforce
 
@@ -94,7 +93,7 @@ def test_closed_form_series_matches_solution():
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_solution_matches_closed_form_at_order_cap(d):
-    cap = _max_order_cap(d)
+    cap = CAPS["order"][d]
     assert solve_tree_equation(d, cap) == closed_form_series(d, 1, cap)
 
 
@@ -235,7 +234,7 @@ def test_evaluate_constant():
 
 
 def test_evaluate_order2_value():
-    value = evaluate(solve_tree_equation(2, 2), (0.1, 0.1))
+    value = solve_tree_equation(2, 2).evaluate((0.1, 0.1))
     assert value.imag == 0
     assert math.isclose(value.real, 1.25, abs_tol=1e-12)
 
@@ -244,14 +243,14 @@ def test_evaluate_order20_near_principal_root():
     # quadratic-formula oracle for the principal root at g = (0.1, 0.1)
     s = 1 - 0.2
     x0 = (s - math.sqrt(s * s - 4 * 0.01)) / (2 * 0.01)
-    value = evaluate(solve_tree_equation(2, 20), (0.1, 0.1))
+    value = solve_tree_equation(2, 20).evaluate((0.1, 0.1))
     assert abs(value - x0) < 1e-6
 
 
 def test_growth_bound_necessary_condition():
     """Truncated positive-series values at an admissible point stay below K^n."""
     for n in range(1, 7):
-        value = evaluate(closed_form_series(2, n, 12), (0.05, 0.05))
+        value = closed_form_series(2, n, 12).evaluate((0.05, 0.05))
         assert value.imag == 0
         assert 0 < value.real <= 2**n
 
