@@ -1,4 +1,4 @@
-"""Memoized profile-indexed counting, unranking, and uniform sampling.
+"""Memoized profile-indexed counting, ranking, unranking, and uniform sampling.
 
 The count of trees with color profile p decomposes at the root: choose the
 non-empty set S of child-edge colors (one edge of each color in S), then
@@ -17,6 +17,18 @@ onto the trees with profile p, using this fixed order:
   * within one split, subtree indices combine in mixed radix with the
     lowest color most significant.
 
+The memo keeps prefix sums, not only totals (cumulative counts, as in
+Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978).  For each profile p it
+holds the admissible subsets S and the cumulative ends of their index
+blocks; for each remainder r and number of parts k >= 2 it holds the
+cumulative sums of N(q) * (splits of r - q into k - 1 parts) over the first
+sub-profile q <= r in lexicographic order, whose last element is the split
+total.  Unranking bisects these lists: ``bisect_right`` on the block ends
+picks S, and at each split position it picks q from its lexicographic
+position j, decoded in mixed radix over (r_i + 1), so no q vectors are
+stored.  Ranking (:meth:`ProfileCountTable.rank`) adds up the same prefix
+sums, inverting unranking.
+
 Sampling draws a uniform index below N(p) with a SplitMix64 generator and
 unranks it, so identical seeds reproduce identical trees on every platform.
 """
@@ -24,15 +36,19 @@ unranks it, so identical seeds reproduce identical trees on every platform.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .combinatorics import ColorProfile, CountValue
 from .errors import DomainError, IndexOutOfRange
 from .limits import check_cap
-from .trees import ColoredTree
+from .trees import ColoredTree, profile_counts, validate
 
 _MASK64 = (1 << 64) - 1
+
+# Trees are immutable, so every unranked tree shares one leaf.
+_LEAF = ColoredTree()
 
 
 @dataclass(frozen=True)
@@ -93,7 +109,8 @@ class SplitMix64:
 
 
 class ProfileCountTable:
-    """Memoized tree counts per color profile, with unranking and sampling.
+    """Memoized tree counts per color profile, with ranking, unranking and
+    sampling.
 
     The memo is shared across calls on one instance only; independent
     instances never interact, so confining a table to one worker is safe.
@@ -105,13 +122,19 @@ class ProfileCountTable:
             raise DomainError(f"need d >= 2 colors, got {d}")
         self.d = d
         self.max_total = max_total
-        # Subsets of colors in ascending bitmask order; bit i-1 <=> color i.
+        # Subsets of colors in ascending bitmask order, with their bitmasks;
+        # bit i-1 <=> color i.
         self._subsets = tuple(
-            tuple(color for color in range(1, d + 1) if mask >> (color - 1) & 1)
+            (mask, tuple(color for color in range(1, d + 1) if mask >> (color - 1) & 1))
             for mask in range(1, 1 << d)
         )
         self._counts: dict[tuple[int, ...], CountValue] = {}
-        self._split_sums: dict[tuple[int, tuple[int, ...]], CountValue] = {}
+        # Per profile p: the admissible root subsets, each with p - chi_S, and
+        # the cumulative ends of their index blocks.
+        self._blocks: dict[tuple[int, ...], tuple[tuple, list[int]]] = {}
+        # Per (parts >= 2, remainder): the cumulative split weights, one per
+        # first sub-profile q <= remainder in lexicographic order.
+        self._split_ends: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 
     def _check(self, profile: ColorProfile) -> tuple[int, ...]:
         if profile.d != self.d:
@@ -127,14 +150,20 @@ class ProfileCountTable:
         cached = self._counts.get(p)
         if cached is not None:
             return cached
+        choices = []
+        ends = []
         if not any(p):
             result = 1
         else:
             result = 0
-            for colors in self._subsets:
-                if all(p[color - 1] >= 1 for color in colors):
+            absent = sum(1 << i for i, n in enumerate(p) if not n)
+            for mask, colors in self._subsets:
+                if not mask & absent:
                     remainder = _minus_indicator(p, colors)
                     result += self._split_sum(len(colors), remainder)
+                    choices.append((colors, remainder))
+                    ends.append(result)
+        self._blocks[p] = (tuple(choices), ends)
         self._counts[p] = result
         return result
 
@@ -144,14 +173,17 @@ class ProfileCountTable:
         if parts == 1:
             return self._count(remainder)
         key = (parts, remainder)
-        cached = self._split_sums.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for q in _vectors_upto(remainder):
-            total += self._count(q) * self._split_sum(parts - 1, _subtract(remainder, q))
-        self._split_sums[key] = total
-        return total
+        ends = self._split_ends.get(key)
+        if ends is None:
+            # remainder - q runs through the vectors <= remainder in reverse
+            # lexicographic order while q runs forward.
+            downward = itertools.product(*(range(b, -1, -1) for b in remainder))
+            ends = list(itertools.accumulate(
+                self._count(q) * self._split_sum(parts - 1, rest)
+                for q, rest in zip(_vectors_upto(remainder), downward)
+            ))
+            self._split_ends[key] = ends
+        return ends[-1]
 
     def unrank(self, profile: ColorProfile, index: int) -> ColoredTree:
         """The index-th tree with the given profile in the documented order."""
@@ -164,49 +196,78 @@ class ProfileCountTable:
         return self._unrank(p, index)
 
     def _unrank(self, p: tuple[int, ...], index: int) -> ColoredTree:
-        if not any(p):
-            return ColoredTree()
-        for colors in self._subsets:
-            if not all(p[color - 1] >= 1 for color in colors):
-                continue
-            remainder = _minus_indicator(p, colors)
-            block = self._split_sum(len(colors), remainder)
-            if index >= block:
-                index -= block
-                continue
-            # Locate the split: peel off one sub-profile per color, lowest
-            # color first, in lexicographic order.  A group sharing the
-            # already-fixed sub-profiles spans prefix * count(q) * splits
-            # indices, where prefix is the product of the fixed counts.
-            parts: list[tuple[int, ...]] = []
-            prefix = 1
-            for position in range(len(colors) - 1):
-                tail = len(colors) - position - 1
-                for q in _vectors_upto(remainder):
-                    weight = prefix * self._count(q) * self._split_sum(
-                        tail, _subtract(remainder, q)
-                    )
-                    if index < weight:
-                        parts.append(q)
-                        remainder = _subtract(remainder, q)
-                        prefix *= self._count(q)
-                        break
-                    index -= weight
-            parts.append(remainder)
-            # Mixed-radix decode of the per-subtree indices, lowest color
-            # most significant.
-            radices = [self._count(q) for q in parts]
-            sub_indices: list[int] = []
-            for radix in reversed(radices):
-                index, sub = divmod(index, radix)
-                sub_indices.append(sub)
-            sub_indices.reverse()
-            children = tuple(
-                (color, self._unrank(q, sub))
-                for color, q, sub in zip(colors, parts, sub_indices)
-            )
-            return ColoredTree(children)
-        raise AssertionError("index below total count but no subset matched")
+        choices, ends = self._blocks[p]
+        if not choices:
+            return _LEAF
+        k = bisect_right(ends, index)
+        if k:
+            index -= ends[k - 1]
+        colors, remainder = choices[k]
+        # Peel off one sub-profile per color, lowest color first.  Among
+        # splits sharing the sub-profiles fixed so far, the one whose next
+        # sub-profile is q starts at prefix * ends[j - 1], where j is the
+        # lexicographic position of q and prefix the product of the fixed
+        # sub-profiles' counts.
+        parts: list[tuple[int, ...]] = []
+        prefix = 1
+        for tail in range(len(colors), 1, -1):
+            split_ends = self._split_ends[tail, remainder]
+            j = bisect_right(split_ends, index // prefix)
+            if j:
+                index -= prefix * split_ends[j - 1]
+            q = _vector_at(remainder, j)
+            parts.append(q)
+            remainder = _subtract(remainder, q)
+            prefix *= self._counts[q]
+        parts.append(remainder)
+        # Mixed-radix decode of the per-subtree indices, lowest color most
+        # significant.
+        children = []
+        for color, q in zip(reversed(colors), reversed(parts)):
+            index, sub = divmod(index, self._counts[q])
+            children.append((color, self._unrank(q, sub)))
+        return ColoredTree(tuple(reversed(children)))
+
+    def rank(self, profile: ColorProfile, tree: ColoredTree) -> int:
+        """The index of ``tree`` among the trees with the given profile; the
+        inverse of :meth:`unrank`.
+
+        Raises DomainError when the tree is not valid for the table's d or
+        its color profile differs from ``profile``.
+        """
+        p = self._check(profile)
+        if not validate(tree, self.d):
+            raise DomainError(f"tree is not a valid tree with d={self.d} colors")
+        found = profile_counts(tree, self.d)
+        if found != p:
+            raise DomainError(f"tree has profile {found}, expected {p}")
+        self._count(p)
+        return self._rank(tree)[1]
+
+    def _rank(self, tree: ColoredTree) -> tuple[tuple[int, ...], int]:
+        """Profile and index of a valid tree whose profile is in the memo."""
+        if not tree.children:
+            return (0,) * self.d, 0
+        colors = tuple(color for color, _ in tree.children)
+        parts, sub_indices = zip(*(self._rank(child) for _, child in tree.children))
+        remainder = tuple(map(sum, zip(*parts)))
+        p = list(remainder)
+        for color in colors:
+            p[color - 1] += 1
+        choices, ends = self._blocks[tuple(p)]
+        k = [chosen for chosen, _ in choices].index(colors)
+        index = ends[k - 1] if k else 0
+        prefix = 1
+        for tail, q in zip(range(len(colors), 1, -1), parts):
+            j = _position_of(remainder, q)
+            if j:
+                index += prefix * self._split_ends[tail, remainder][j - 1]
+            remainder = _subtract(remainder, q)
+            prefix *= self._counts[q]
+        sub = 0
+        for q, sub_index in zip(parts, sub_indices):
+            sub = sub * self._counts[q] + sub_index
+        return tuple(p), index + sub
 
     def sample_uniform(self, request: SampleRequest) -> list[ColoredTree]:
         """Draw ``request.count`` trees independently and uniformly.
@@ -234,3 +295,21 @@ def _subtract(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 def _vectors_upto(bound: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """All vectors 0 <= q <= bound componentwise, in lexicographic order."""
     return itertools.product(*(range(b + 1) for b in bound))
+
+
+def _vector_at(bound: tuple[int, ...], position: int) -> tuple[int, ...]:
+    """The vector at ``position`` in the order of :func:`_vectors_upto`: mixed
+    radix over ``b + 1``, last coordinate least significant."""
+    digits = []
+    for b in reversed(bound):
+        position, digit = divmod(position, b + 1)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
+def _position_of(bound: tuple[int, ...], q: tuple[int, ...]) -> int:
+    """The inverse of :func:`_vector_at`."""
+    position = 0
+    for b, digit in zip(bound, q):
+        position = position * (b + 1) + digit
+    return position

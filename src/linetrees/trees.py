@@ -149,11 +149,18 @@ def enumerate_by_lines(
     Trees come out in increasing order of total edge count and, within one
     count, in lexicographic order of their canonical encodings.  The stream
     is fully deterministic.  Raises BudgetExceeded when ``max_lines`` is
-    beyond its cap for d or the tree budget would be exceeded.
+    beyond its cap for d, at the call, or when the tree budget would be
+    exceeded, before the level that would exceed it.
     """
     if d < 2:
         raise DomainError(f"need d >= 2 colors, got {d}")
     check_cap("max_lines", max_lines, d)
+    # A negative budget is rejected here, not at the first level.
+    check_cap("tree count", 0, override=max_trees)
+    return _enumerate_levels(d, max_lines, max_trees)
+
+
+def _enumerate_levels(d: int, max_lines: int, max_trees: int) -> Iterator[ColoredTree]:
     levels: list[list[ColoredTree]] = []
     emitted = 0
     for lines in range(max_lines + 1):

@@ -1,9 +1,11 @@
 """Tests for the command-line surface: schemas, formats, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,16 @@ def test_enumerate_budget_exits_3(capsys):
     assert run(
         capsys, "enumerate", "--d", "2", "--max-lines", "4", "--max-trees", "3"
     )[0] == 3
+
+
+def test_enumerate_cap_error_prints_no_csv_header(capsys):
+    for argv, expected in [
+        (("--max-lines", "99"), 3),
+        (("--max-lines", "2", "--max-trees", "-1"), 2),
+    ]:
+        code, out, err = run(capsys, "enumerate", "--d", "2", *argv, "--format", "csv")
+        assert (code, out) == (expected, "")
+        assert err.startswith("error: ")
 
 
 def test_series_json_schema(capsys):
@@ -382,3 +394,25 @@ def test_fuzz_main_exits_with_a_documented_code(argv):
     if code == 0 and not {"--format=csv", "--format=text"} & set(argv):
         for line in out.getvalue().splitlines():
             json.loads(line)
+
+
+def _recorded_sample_digests():
+    """(argv, sha256 of stdout) of every sample job the benchmark records."""
+    record = json.loads((Path(__file__).parents[1] / "bench" / "record.json").read_text())
+    return [
+        (argv, digest)
+        for workload in ("sample-draw", "cli-mix")
+        for argv, digest in record["digests"][workload].items()
+        if argv.startswith("sample ")
+    ]
+
+
+_SAMPLE_DIGESTS = _recorded_sample_digests()
+
+
+@pytest.mark.parametrize("argv,digest", _SAMPLE_DIGESTS, ids=[a for a, _ in _SAMPLE_DIGESTS])
+def test_sample_stdout_matches_recorded_digest(capsys, argv, digest):
+    """sample prints byte-identical trees for the recorded argvs and seeds."""
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,4 +1,6 @@
-"""Tests for memoized counting, unranking, and uniform sampling."""
+"""Tests for memoized counting, ranking, unranking, and uniform sampling."""
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,14 @@ from hypothesis import strategies as st
 from linetrees.combinatorics import ColorProfile, closed_form_count, profiles_with_total
 from linetrees.counting import ProfileCountTable, SampleRequest, SplitMix64
 from linetrees.errors import BudgetExceeded, DomainError, IndexOutOfRange
-from linetrees.trees import encode, enumerate_by_lines, profile_counts, validate
+from linetrees.trees import (
+    ColoredTree,
+    decode,
+    encode,
+    enumerate_by_lines,
+    profile_counts,
+    validate,
+)
 
 
 def brute_force_sets(d, max_total):
@@ -155,3 +164,134 @@ def test_sample_marginals():
     for tree in ProfileCountTable(2).sample_uniform(request):
         assert validate(tree, 2)
         assert profile_counts(tree, 2) == (2, 1)
+
+
+class LinearScanUnranker:
+    """Test-only reference: the unranker that rescans every subset and every
+    split vector at each vertex, with its own memo of totals.  It fixes the
+    documented order independently of the prefix-sum tables."""
+
+    def __init__(self, d):
+        self.subsets = [
+            tuple(color for color in range(1, d + 1) if mask >> (color - 1) & 1)
+            for mask in range(1, 1 << d)
+        ]
+        self.counts = {}
+        self.split_sums = {}
+
+    def admissible(self, p):
+        return [colors for colors in self.subsets if all(p[color - 1] >= 1 for color in colors)]
+
+    def count(self, p):
+        if p not in self.counts:
+            self.counts[p] = 1 if not any(p) else sum(
+                self.split_sum(len(colors), minus_indicator(p, colors))
+                for colors in self.admissible(p)
+            )
+        return self.counts[p]
+
+    def split_sum(self, parts, remainder):
+        if parts == 1:
+            return self.count(remainder)
+        key = (parts, remainder)
+        if key not in self.split_sums:
+            self.split_sums[key] = sum(
+                self.count(q) * self.split_sum(parts - 1, subtract(remainder, q))
+                for q in itertools.product(*(range(b + 1) for b in remainder))
+            )
+        return self.split_sums[key]
+
+    def unrank(self, p, index):
+        if not any(p):
+            return ColoredTree()
+        for colors in self.admissible(p):
+            remainder = minus_indicator(p, colors)
+            block = self.split_sum(len(colors), remainder)
+            if index >= block:
+                index -= block
+                continue
+            parts = []
+            prefix = 1
+            for position in range(len(colors) - 1):
+                tail = len(colors) - position - 1
+                for q in itertools.product(*(range(b + 1) for b in remainder)):
+                    weight = prefix * self.count(q) * self.split_sum(tail, subtract(remainder, q))
+                    if index < weight:
+                        parts.append(q)
+                        remainder = subtract(remainder, q)
+                        prefix *= self.count(q)
+                        break
+                    index -= weight
+            parts.append(remainder)
+            sub_indices = []
+            for radix in reversed([self.count(q) for q in parts]):
+                index, sub = divmod(index, radix)
+                sub_indices.append(sub)
+            sub_indices.reverse()
+            return ColoredTree(tuple(
+                (color, self.unrank(q, sub)) for color, q, sub in zip(colors, parts, sub_indices)
+            ))
+        raise AssertionError("index below total count but no subset matched")
+
+
+def minus_indicator(p, colors):
+    return tuple(n - (i + 1 in colors) for i, n in enumerate(p))
+
+
+def subtract(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+CAP_PROFILES = [
+    ColorProfile(2, (15, 15)),
+    ColorProfile(3, (5, 5, 5)),
+    ColorProfile(8, (2, 2, 1, 1, 1, 1, 1, 1)),
+    ColorProfile(8, (0, 0, 0, 0, 0, 0, 0, 10)),
+]
+
+
+def cap_indices(n, seed):
+    """Index 0, index n - 1 and 200 SplitMix64 draws below n."""
+    rng = SplitMix64(seed)
+    return [0, n - 1] + [rng.below(n) for _ in range(200)]
+
+
+@pytest.mark.parametrize("d,max_total", [(2, 5), (3, 5), (4, 4)])
+def test_unrank_matches_linear_scan_and_rank_inverts_it_on_small_profiles(d, max_total):
+    table = ProfileCountTable(d)
+    reference = LinearScanUnranker(d)
+    for total in range(max_total + 1):
+        for counts in profiles_with_total(d, total):
+            profile = ColorProfile(d, counts)
+            n = table.recursive_count(profile)
+            assert n == reference.count(counts)
+            for index in range(n):
+                tree = table.unrank(profile, index)
+                assert encode(tree) == encode(reference.unrank(counts, index))
+                assert table.rank(profile, tree) == index
+
+
+@pytest.mark.parametrize("profile", CAP_PROFILES, ids=lambda p: ",".join(map(str, p.counts)))
+def test_unrank_matches_linear_scan_and_rank_inverts_it_at_cap_profiles(profile):
+    table = ProfileCountTable(profile.d)
+    reference = LinearScanUnranker(profile.d)
+    n = table.recursive_count(profile)
+    for index in cap_indices(n, seed=profile.total):
+        tree = table.unrank(profile, index)
+        assert encode(tree) == encode(reference.unrank(profile.counts, index))
+        assert table.rank(profile, tree) == index
+
+
+def test_rank_rejects_invalid_or_foreign_trees():
+    table = ProfileCountTable(2)
+    profile = ColorProfile(2, (1, 1))
+    with pytest.raises(DomainError):  # two edges of color 1 at the root
+        table.rank(profile, ColoredTree(((1, ColoredTree()), (1, ColoredTree()))))
+    with pytest.raises(DomainError):  # color 3 at d=2
+        table.rank(profile, decode("(3:())", 3))
+    with pytest.raises(DomainError):  # profile (2, 0), not (1, 1)
+        table.rank(profile, decode("(1:(1:()))", 2))
+    with pytest.raises(DomainError):
+        table.rank(ColorProfile(3, (1, 1, 0)), decode("(1:(2:()))", 2))
+    with pytest.raises(BudgetExceeded):
+        ProfileCountTable(2, max_total=1).rank(profile, decode("(1:(2:()))", 2))

@@ -158,6 +158,16 @@ def test_enumerate_budget_and_caps():
         list(enumerate_by_lines(1, 2))
 
 
+def test_enumerate_checks_caps_at_the_call():
+    # Before the first tree is requested, so a caller prints nothing first.
+    with pytest.raises(BudgetExceeded):
+        enumerate_by_lines(2, 9)
+    with pytest.raises(DomainError):
+        enumerate_by_lines(2, 2, max_trees=-1)
+    with pytest.raises(DomainError):
+        enumerate_by_lines(9, 2)
+
+
 def test_count_by_profile_small():
     tally = count_by_profile_bruteforce(2, 1)
     assert tally == {
