@@ -2,8 +2,12 @@
 and sampling, with json/csv/text output.
 
 Exit codes: 0 success, 1 verification found failures, 2 malformed input,
-3 budget or cap violation, 4 numeric failure.  Counts are always emitted as
+3 a value above its cap, 4 numeric failure.  Counts are always emitted as
 decimal strings; they outgrow 64-bit integers quickly.
+
+This is the one place the caps of ``limits.CAPS`` are applied: each handler
+checks its arguments before any work or output, and the library it calls is
+uncapped.
 """
 
 from __future__ import annotations
@@ -18,20 +22,22 @@ from .combinatorics import ColorProfile, closed_form_count
 from .counting import ProfileCountTable, SampleRequest
 from .errors import (
     BudgetExceeded,
-    ColorError,
-    DegenerateError,
     DomainError,
-    IndexOutOfRange,
     IntegralityViolation,
-    ParseError,
+    LineTreesError,
     RootFindingFailure,
 )
-from .limits import DEFAULT_TREE_BUDGET, MAX_COLORS, check_cap
+from .limits import check_cap, check_colors
 from .roots import DEFAULT_RESIDUAL_TOL, build_char_polynomial, rouche_isolation_check
 from .series import closed_form_series, solve_tree_equation
 from .series import verify_convolution, verify_geometric, verify_linear_recursion
 from .trees import encode, enumerate_by_lines
-from .verification import verify_fuss_catalan_rows, verify_narayana_bridge, verify_oracle
+from .verification import (
+    MAX_REPORTED_FAILURES,
+    verify_fuss_catalan_rows,
+    verify_narayana_bridge,
+    verify_oracle,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -47,15 +53,6 @@ VERIFY_KINDS = (
     "narayana",
     "oracle",
 )
-
-MAX_REPORTED_FAILURES = 100
-
-
-def _check_d(d: int) -> int:
-    if d < 2 or d > MAX_COLORS:
-        raise DomainError(f"--d must be in 2..{MAX_COLORS}, got {d}")
-    return d
-
 
 def _parse_profile(text: str, d: int) -> ColorProfile:
     try:
@@ -85,8 +82,21 @@ def _csv_out(header, rows) -> None:
     writer.writerows(rows)
 
 
+def _print_trees(trees, fmt: str, **fields) -> None:
+    """One line per tree: its encoding, or a JSON object with the encoding
+    under "tree" followed by ``fields``; csv mode adds a ``tree`` header."""
+    if fmt == "csv":
+        print("tree")
+    for tree in trees:
+        text = encode(tree)
+        if fmt == "json":
+            _print_json({"tree": text, **fields})
+        else:
+            print(text)
+
+
 def _run_count(args) -> int:
-    profile = _parse_profile(args.profile, _check_d(args.d))
+    profile = _parse_profile(args.profile, check_colors(args.d))
     if args.n < 1:
         raise DomainError(f"--n must be >= 1, got {args.n}")
     check_cap("count profile total", profile.total)
@@ -105,26 +115,20 @@ def _run_count(args) -> int:
 
 
 def _run_enumerate(args) -> int:
-    d = _check_d(args.d)
-    stream = enumerate_by_lines(d, args.max_lines, max_trees=args.max_trees)
-    if args.format == "csv":
-        print("tree")
-    for tree in stream:
-        text = encode(tree)
-        if args.format == "json":
-            _print_json({"tree": text})
-        else:
-            print(text)
+    d = check_colors(args.d)
+    check_cap("max_lines", args.max_lines, d)
+    _print_trees(enumerate_by_lines(d, args.max_lines), args.format)
     return EXIT_OK
 
 
 def _run_series(args) -> int:
-    d = _check_d(args.d)
+    d = check_colors(args.d)
     check_cap("level", args.n)
+    check_cap("order", args.order, d)
     if args.n == 1:
-        result = solve_tree_equation(d, args.order, max_order=args.max_order)
+        result = solve_tree_equation(d, args.order)
     else:
-        result = closed_form_series(d, args.n, args.order, max_order=args.max_order)
+        result = closed_form_series(d, args.n, args.order)
     if args.format == "json":
         _print_json(result.to_json_obj())
     elif args.format == "csv":
@@ -137,18 +141,21 @@ def _run_series(args) -> int:
 
 
 def _run_verify(args) -> int:
-    d = _check_d(args.d)
+    d = check_colors(args.d)
     kind = args.kind
     if kind == "recursion":
         check_cap("n_max", args.n_max)
-        report = verify_linear_recursion(d, args.n_max, args.order, max_order=args.max_order)
+        check_cap("order", args.order, d)
+        report = verify_linear_recursion(d, args.n_max, args.order)
     elif kind == "geometric":
         check_cap("n_max", args.n_max)
-        report = verify_geometric(d, args.n_max, args.order, max_order=args.max_order)
+        check_cap("order", args.order, d)
+        report = verify_geometric(d, args.n_max, args.order)
     elif kind == "convolution":
         check_cap("level", args.n)
         check_cap("level", args.m)
-        report = verify_convolution(d, args.n, args.m, args.order, max_order=args.max_order)
+        check_cap("order", args.order, d)
+        report = verify_convolution(d, args.n, args.m, args.order)
     elif kind == "fuss-catalan":
         check_cap("fuss-catalan order", args.order, d)
         report = verify_fuss_catalan_rows(d, args.order)
@@ -158,8 +165,9 @@ def _run_verify(args) -> int:
         check_cap("narayana order", args.order)
         report = verify_narayana_bridge(args.order)
     else:
-        report = verify_oracle(d, args.order, max_trees=args.max_trees)
-    doc = report.to_json_obj(MAX_REPORTED_FAILURES)
+        check_cap("max_lines", args.order, d)
+        report = verify_oracle(d, args.order)
+    doc = report.to_json_obj()
     if args.format == "json":
         _print_json(doc)
     elif args.format == "csv":
@@ -179,7 +187,7 @@ def _run_verify(args) -> int:
 
 
 def _run_roots(args) -> int:
-    d = _check_d(args.d)
+    d = check_colors(args.d)
     point = _parse_point(args.g, d)
     q = build_char_polynomial(d, point)
     report = rouche_isolation_check(q, args.radius, args.residual_tol)
@@ -212,20 +220,13 @@ def _run_roots(args) -> int:
 
 
 def _run_sample(args) -> int:
-    d = _check_d(args.d)
+    d = check_colors(args.d)
     profile = _parse_profile(args.profile, d)
     check_cap("sample count", args.count)
     request = SampleRequest(profile, args.count, args.seed)
-    table = ProfileCountTable(d)
-    samples = table.sample_uniform(request)
-    if args.format == "csv":
-        print("tree")
-    for tree in samples:
-        text = encode(tree)
-        if args.format == "json":
-            _print_json({"tree": text, "profile": list(profile.counts)})
-        else:
-            print(text)
+    check_cap("profile total", profile.total, d)
+    samples = ProfileCountTable(d).sample_uniform(request)
+    _print_trees(samples, args.format, profile=list(profile.counts))
     return EXIT_OK
 
 
@@ -234,14 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--d", type=int, required=True, help="number of colors (2..8)")
     common.add_argument(
         "--format", choices=("json", "csv", "text"), default="json", help="output format"
-    )
-    max_order = argparse.ArgumentParser(add_help=False)
-    max_order.add_argument(
-        "--max-order", type=int, default=None, help="override the series order cap"
-    )
-    max_trees = argparse.ArgumentParser(add_help=False)
-    max_trees.add_argument(
-        "--max-trees", type=int, default=DEFAULT_TREE_BUDGET, help="enumeration budget in trees"
     )
 
     parser = argparse.ArgumentParser(
@@ -256,14 +249,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1, help="level (power of the generating function)")
     p.set_defaults(handler=_run_count)
 
-    p = sub.add_parser(
-        "enumerate", parents=[common, max_trees], help="stream all trees up to a line budget"
-    )
+    p = sub.add_parser("enumerate", parents=[common], help="stream all trees up to a line budget")
     p.add_argument("--max-lines", type=int, required=True, help="maximum total line count")
     p.set_defaults(handler=_run_enumerate)
 
     p = sub.add_parser(
-        "series", parents=[common, max_order], help="truncated generating-function coefficients"
+        "series", parents=[common], help="truncated generating-function coefficients"
     )
     p.add_argument("--order", type=int, required=True, help="truncation order (total degree)")
     p.add_argument("--n", type=int, default=1, help="level; 1 solves the functional equation")
@@ -271,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
-        parents=[common, max_order, max_trees],
+        parents=[common],
         help="run a coefficient-level identity check",
     )
     p.add_argument("kind", choices=VERIFY_KINDS)
@@ -317,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     except (RootFindingFailure, IntegralityViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DomainError, ParseError, ColorError, DegenerateError, IndexOutOfRange) as exc:
+    except LineTreesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

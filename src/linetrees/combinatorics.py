@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DomainError, IntegralityViolation
-from .limits import MAX_COLORS
+from .limits import check_colors
 
 # Counts are plain Python ints: arbitrary precision, never rounded.
 CountValue = int
@@ -33,18 +33,14 @@ CountValue = int
 
 @dataclass(frozen=True)
 class ColorProfile:
-    """Per-color edge counts (p_1, ..., p_D) of a tree, with D >= 2 colors."""
+    """Per-color edge counts (p_1, ..., p_D) of a tree, with D in
+    2..limits.MAX_COLORS colors."""
 
     d: int
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 2:
-            raise DomainError(f"need an integer number of colors >= 2, got {self.d!r}")
-        if self.d > MAX_COLORS:
-            raise DomainError(
-                f"d={self.d} exceeds the supported maximum of {MAX_COLORS} colors"
-            )
+        check_colors(self.d)
         counts = tuple(self.counts)
         if len(counts) != self.d:
             raise DomainError(

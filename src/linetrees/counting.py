@@ -42,7 +42,7 @@ from typing import Iterator, Sequence
 
 from .combinatorics import ColorProfile, CountValue
 from .errors import DomainError, IndexOutOfRange
-from .limits import check_cap
+from .limits import check_colors
 from .trees import ColoredTree, profile_counts, validate
 
 _MASK64 = (1 << 64) - 1
@@ -114,14 +114,10 @@ class ProfileCountTable:
 
     The memo is shared across calls on one instance only; independent
     instances never interact, so confining a table to one worker is safe.
-    ``max_total`` overrides the profile-total cap of the limits table.
     """
 
-    def __init__(self, d: int, max_total: int | None = None):
-        if d < 2:
-            raise DomainError(f"need d >= 2 colors, got {d}")
-        self.d = d
-        self.max_total = max_total
+    def __init__(self, d: int):
+        self.d = check_colors(d)
         # Subsets of colors in ascending bitmask order, with their bitmasks;
         # bit i-1 <=> color i.
         self._subsets = tuple(
@@ -139,7 +135,6 @@ class ProfileCountTable:
     def _check(self, profile: ColorProfile) -> tuple[int, ...]:
         if profile.d != self.d:
             raise DomainError(f"profile has d={profile.d}, table has d={self.d}")
-        check_cap("profile total", profile.total, self.d, self.max_total)
         return profile.counts
 
     def recursive_count(self, profile: ColorProfile) -> CountValue:

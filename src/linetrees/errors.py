@@ -31,7 +31,7 @@ class ColorOrderError(ColorError):
 
 
 class BudgetExceeded(LineTreesError):
-    """A cap of the limits table, or an override of it, would be exceeded."""
+    """A CLI input exceeds a cap of the limits table."""
 
 
 class IndexOutOfRange(LineTreesError):

@@ -1,12 +1,12 @@
-"""Every size limit of the package, in one table, behind one check.
+"""Every size limit of the command line, in one table, behind one check.
 
-Each cap keeps the work or the output of one command bounded: any input the
-caps accept finishes in about ten seconds or less, and no decimal count
-printed by the CLI reaches Python's 4300-digit limit on int-to-str
-conversion.  The README's
-"Budgets and caps" table lists these values with the worst measured time at
-each.  Caps keyed by the number of colors d hold one entry per d in
-2..MAX_COLORS.
+The paper's objects have no natural size limit, and the library takes any
+size.  The caps exist so that each CLI command finishes in about ten seconds
+or less and no decimal count it prints reaches Python's 4300-digit limit on
+int-to-str conversion; ``cli`` applies them to its input before any work.
+The README's "Budgets and caps" table lists these values with the worst
+measured time at each.  Caps keyed by the number of colors d hold one entry
+per d in 2..MAX_COLORS.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from .errors import BudgetExceeded, DomainError
 # Largest number of colors; keeps the profile spaces walked by verifiers
 # desk-sized.
 MAX_COLORS = 8
-
-# Trees one enumeration may produce unless the caller sets another budget.
-DEFAULT_TREE_BUDGET = 10**7
 
 CAPS: dict[str, int | dict[int, int]] = {
     # Series truncation order: series, verify recursion|geometric|convolution.
@@ -42,26 +39,26 @@ CAPS: dict[str, int | dict[int, int]] = {
 }
 
 
-def check_cap(name: str, value: int, d: int | None = None, override: int | None = None) -> None:
-    """Require ``0 <= value <= cap``.
+def check_colors(d: int) -> int:
+    """Return ``d`` if it is a supported number of colors, an int in
+    2..MAX_COLORS; raise DomainError otherwise."""
+    if not isinstance(d, int) or not 2 <= d <= MAX_COLORS:
+        raise DomainError(f"d must be an integer in 2..{MAX_COLORS}, got {d!r}")
+    return d
 
-    The cap is ``override`` when given, else ``CAPS[name]``, taken for ``d``
-    colors when that cap is per-d.  Raises DomainError for a negative value
-    or override, or for a d outside 2..MAX_COLORS, and BudgetExceeded when
+
+def check_cap(name: str, value: int, d: int | None = None) -> None:
+    """Require ``0 <= value <= CAPS[name]``, the cap taken for ``d`` colors
+    when it is per-d.
+
+    Raises DomainError for a negative value and BudgetExceeded when
     ``value`` exceeds the cap.
     """
     if value < 0:
         raise DomainError(f"{name} must be >= 0, got {value}")
-    if override is not None:
-        if override < 0:
-            raise DomainError(f"the {name} cap must be >= 0, got {override}")
-        cap = override
-    else:
-        cap = CAPS[name]
-        if isinstance(cap, dict):
-            if d not in cap:
-                raise DomainError(f"d must be in 2..{MAX_COLORS}, got {d}")
-            cap = cap[d]
+    cap = CAPS[name]
+    if isinstance(cap, dict):
+        cap = cap[check_colors(d)]
     if value > cap:
         where = "" if d is None else f" for d={d}"
         raise BudgetExceeded(f"{name} {value} exceeds the cap of {cap}{where}")

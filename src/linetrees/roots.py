@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateError, DomainError, RootFindingFailure
 
-# Residual bound, relative to the largest coefficient magnitude.
+# Backward-error bound: |Q(r)| relative to sum_k |c_k| |r|^k at each root r.
 DEFAULT_RESIDUAL_TOL = 1e-10
 
 # Roots closer than this are reported as one root with multiplicity.
@@ -119,8 +119,13 @@ def _cluster(roots: Sequence[complex], radius: float = CLUSTER_RADIUS) -> list[t
 def roots_all(q: CharPolynomial, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> RootReport:
     """All complex roots of the deflated polynomial, via the companion matrix.
 
-    Every reported root r must satisfy |Q(r)| <= residual_tol * max|coeff|;
-    otherwise RootFindingFailure carries the best residual achieved.
+    Every reported root r must have a small backward error,
+    |Q(r)| <= residual_tol * sum_k |c_k| |r|^k: r is then an exact root of
+    a polynomial whose coefficients differ from Q's by a relative
+    ``residual_tol`` at most.  The bound grows with |r|, so the large roots
+    that appear when some |g_i| is near 0 are judged on the same footing
+    as the small ones.  Otherwise RootFindingFailure carries the largest
+    residual |Q(r)|, which the report also gives as ``residual_max``.
     ``residual_tol`` must be finite and >= 0.
     """
     if not 0 <= residual_tol < math.inf:
@@ -132,13 +137,15 @@ def roots_all(q: CharPolynomial, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> 
         )
     raw = np.roots(np.array(coeffs[::-1], dtype=np.complex128))
     found = [complex(r) for r in raw]
-    scale = max(abs(c) for c in coeffs)
-    residual_max = max((abs(q(r)) for r in found), default=0.0)
-    if not residual_max <= residual_tol * scale:
-        raise RootFindingFailure(
-            f"root residual {residual_max:.3e} exceeds {residual_tol:.1e} * {scale:.3e}",
-            best_residual=residual_max,
-        )
+    residuals = [abs(q(r)) for r in found]
+    residual_max = max(residuals, default=0.0)
+    for r, residual in zip(found, residuals):
+        scale = sum(abs(c) * abs(r) ** k for k, c in enumerate(coeffs))
+        if not residual <= residual_tol * scale:
+            raise RootFindingFailure(
+                f"root residual {residual:.3e} exceeds {residual_tol:.1e} * {scale:.3e}",
+                best_residual=residual_max,
+            )
     return RootReport(roots=tuple(_cluster(found)), residual_max=residual_max)
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .combinatorics import ColorProfile, closed_form_count, profiles_with_total
 from .errors import DomainError
-from .limits import check_cap
+from .limits import check_colors
 from .verification import Mismatch, VerificationReport
 
 
@@ -200,9 +200,7 @@ def elementary_symmetric_series(d: int, order: int) -> list[MultiSeries]:
     return out
 
 
-def solve_tree_equation(
-    d: int, order: int, *, max_order: int | None = None
-) -> MultiSeries:
+def solve_tree_equation(d: int, order: int) -> MultiSeries:
     """Unique series solution with constant term 1 of F = sum_k e_k F^k.
 
     Solved one total degree m = 1..order at a time.  Because e_k is
@@ -216,9 +214,7 @@ def solve_tree_equation(
     coefficient is computed once, exactly, so there is no iteration and no
     convergence test.
     """
-    if d < 2:
-        raise DomainError(f"need d >= 2 colors, got {d}")
-    check_cap("order", order, d, max_order)
+    check_colors(d)
     elementary = [list(e.coeffs.items()) for e in elementary_symmetric_series(d, order)]
     # powers[k][m] holds the terms of [F^k]_m; powers[1] is F itself.
     powers = [[elementary[0]] for _ in range(d + 1)]
@@ -235,13 +231,10 @@ def solve_tree_equation(
     return MultiSeries(d, order, dict(itertools.chain.from_iterable(powers[1])))
 
 
-def closed_form_series(
-    d: int, n: int, order: int, *, max_order: int | None = None
-) -> MultiSeries:
+def closed_form_series(d: int, n: int, order: int) -> MultiSeries:
     """Level-n series assembled directly from the closed-form counts."""
     if n < 1:
         raise DomainError(f"level n must be >= 1, got {n}")
-    check_cap("order", order, d, max_order)
     coeffs: dict[tuple[int, ...], int] = {}
     for total in range(order + 1):
         for p in profiles_with_total(d, total):
@@ -259,18 +252,15 @@ def _collect_mismatches(
             yield Mismatch({**context, "p": list(p)}, a, b)
 
 
-def verify_linear_recursion(
-    d: int, n_max: int, order: int, *, max_order: int | None = None
-) -> VerificationReport:
+def verify_linear_recursion(d: int, n_max: int, order: int) -> VerificationReport:
     """Check F_{n+1} = F_n + sum_{k=1..d} e_k F_{n+k} for n = 0..n_max,
     with every F_m built from the closed form (F_0 = 1)."""
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    check_cap("order", order, d, max_order)
     elementary = elementary_symmetric_series(d, order)
     levels = {0: MultiSeries.constant(d, order, 1)}
     for m in range(1, n_max + d + 1):
-        levels[m] = closed_form_series(d, m, order, max_order=max_order)
+        levels[m] = closed_form_series(d, m, order)
     report = VerificationReport("recursion", d, {"n_max": n_max, "order": order})
     for n in range(n_max + 1):
         rhs = levels[n]
@@ -280,38 +270,30 @@ def verify_linear_recursion(
     return report
 
 
-def verify_geometric(
-    d: int, n_max: int, order: int, *, max_order: int | None = None
-) -> VerificationReport:
+def verify_geometric(d: int, n_max: int, order: int) -> VerificationReport:
     """Check that the level-n series is the n-th truncated power of the
     functional-equation solution, for n = 1..n_max."""
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    check_cap("order", order, d, max_order)
-    base = solve_tree_equation(d, order, max_order=max_order)
+    base = solve_tree_equation(d, order)
     power = base
     report = VerificationReport("geometric", d, {"n_max": n_max, "order": order})
     for n in range(1, n_max + 1):
         if n > 1:
             power = power * base
-        direct = closed_form_series(d, n, order, max_order=max_order)
+        direct = closed_form_series(d, n, order)
         report.failures.extend(_collect_mismatches(direct, power, {"n": n}))
     return report
 
 
-def verify_convolution(
-    d: int, n: int, m: int, order: int, *, max_order: int | None = None
-) -> VerificationReport:
+def verify_convolution(d: int, n: int, m: int, order: int) -> VerificationReport:
     """Check the convolution identity: the product of the level-n and
     level-m series equals the level-(n+m) series on all profiles with
     total <= order."""
     if n < 1 or m < 1:
         raise DomainError(f"levels must be >= 1, got n={n}, m={m}")
-    check_cap("order", order, d, max_order)
-    product = closed_form_series(d, n, order, max_order=max_order) * closed_form_series(
-        d, m, order, max_order=max_order
-    )
-    direct = closed_form_series(d, n + m, order, max_order=max_order)
+    product = closed_form_series(d, n, order) * closed_form_series(d, m, order)
+    direct = closed_form_series(d, n + m, order)
     report = VerificationReport("convolution", d, {"n": n, "m": m, "order": order})
     report.failures.extend(_collect_mismatches(product, direct, {}))
     return report

@@ -23,7 +23,7 @@ from typing import Iterator
 
 from .combinatorics import ColorProfile, CountValue, profiles_with_total
 from .errors import ColorError, ColorOrderError, DomainError, ParseError
-from .limits import DEFAULT_TREE_BUDGET, check_cap
+from .limits import check_colors
 
 # The canonical encoding is a plain string over '(', ')', ',', ':' and digits.
 CanonicalEncoding = str
@@ -141,32 +141,24 @@ def _parse_color(text: str, pos: int, d: int) -> tuple[int, int]:
     return color, pos
 
 
-def enumerate_by_lines(
-    d: int, max_lines: int, *, max_trees: int = DEFAULT_TREE_BUDGET
-) -> Iterator[ColoredTree]:
+def enumerate_by_lines(d: int, max_lines: int) -> Iterator[ColoredTree]:
     """Yield every valid tree with at most ``max_lines`` edges, exactly once.
 
     Trees come out in increasing order of total edge count and, within one
     count, in lexicographic order of their canonical encodings.  The stream
-    is fully deterministic.  Raises BudgetExceeded when ``max_lines`` is
-    beyond its cap for d, at the call, or when the tree budget would be
-    exceeded, before the level that would exceed it.
+    is fully deterministic.  A d outside 2..MAX_COLORS or a negative
+    ``max_lines`` raises DomainError at the call, before the first tree.
     """
-    if d < 2:
-        raise DomainError(f"need d >= 2 colors, got {d}")
-    check_cap("max_lines", max_lines, d)
-    # A negative budget is rejected here, not at the first level.
-    check_cap("tree count", 0, override=max_trees)
-    return _enumerate_levels(d, max_lines, max_trees)
+    check_colors(d)
+    if max_lines < 0:
+        raise DomainError(f"max_lines must be >= 0, got {max_lines}")
+    return _enumerate_levels(d, max_lines)
 
 
-def _enumerate_levels(d: int, max_lines: int, max_trees: int) -> Iterator[ColoredTree]:
+def _enumerate_levels(d: int, max_lines: int) -> Iterator[ColoredTree]:
     levels: list[list[ColoredTree]] = []
-    emitted = 0
     for lines in range(max_lines + 1):
         level = _trees_with_exact_lines(d, lines, levels)
-        emitted += len(level)
-        check_cap("tree count", emitted, override=max_trees)
         level.sort(key=encode)
         levels.append(level)
         yield from level
@@ -188,16 +180,14 @@ def _trees_with_exact_lines(
     return out
 
 
-def count_by_profile_bruteforce(
-    d: int, max_total: int, *, max_trees: int = DEFAULT_TREE_BUDGET
-) -> dict[ColorProfile, CountValue]:
+def count_by_profile_bruteforce(d: int, max_total: int) -> dict[ColorProfile, CountValue]:
     """Tally the enumeration by color profile.
 
     The returned map has an entry for every profile with total <= max_total
     (every profile is realized by at least one chain).
     """
     tally: dict[ColorProfile, CountValue] = {}
-    for tree in enumerate_by_lines(d, max_total, max_trees=max_trees):
+    for tree in enumerate_by_lines(d, max_total):
         profile = ColorProfile(d, profile_counts(tree, d))
         tally[profile] = tally.get(profile, 0) + 1
     return tally

@@ -16,7 +16,6 @@ from .combinatorics import (
     profiles_with_total,
 )
 from .errors import DomainError
-from .limits import DEFAULT_TREE_BUDGET
 from .trees import count_by_profile_bruteforce
 
 
@@ -33,6 +32,10 @@ class Mismatch:
         return {**self.context, "lhs": str(self.lhs), "rhs": str(self.rhs)}
 
 
+# Failures a report lists; ``failure_count`` still counts them all.
+MAX_REPORTED_FAILURES = 100
+
+
 @dataclass
 class VerificationReport:
     kind: str
@@ -44,14 +47,14 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_json_obj(self, max_failures: int = 100) -> dict:
+    def to_json_obj(self) -> dict:
         return {
             "kind": self.kind,
             "d": self.d,
             "params": self.params,
             "ok": self.ok,
             "failure_count": len(self.failures),
-            "failures": [f.to_json_obj() for f in self.failures[:max_failures]],
+            "failures": [f.to_json_obj() for f in self.failures[:MAX_REPORTED_FAILURES]],
         }
 
 
@@ -90,12 +93,10 @@ def verify_narayana_bridge(max_total: int) -> VerificationReport:
     return report
 
 
-def verify_oracle(
-    d: int, max_total: int, *, max_trees: int = DEFAULT_TREE_BUDGET
-) -> VerificationReport:
+def verify_oracle(d: int, max_total: int) -> VerificationReport:
     """Compare the brute-force enumeration tally with the closed form for
     every profile with total <= max_total."""
-    tally = count_by_profile_bruteforce(d, max_total, max_trees=max_trees)
+    tally = count_by_profile_bruteforce(d, max_total)
     report = VerificationReport("oracle", d, {"max_total": max_total})
     for total in range(max_total + 1):
         for p in profiles_with_total(d, total):

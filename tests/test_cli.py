@@ -84,15 +84,12 @@ def test_enumerate_json_round_trips(capsys):
 
 def test_enumerate_budget_exits_3(capsys):
     assert run(capsys, "enumerate", "--d", "2", "--max-lines", "12")[0] == 3
-    assert run(
-        capsys, "enumerate", "--d", "2", "--max-lines", "4", "--max-trees", "3"
-    )[0] == 3
 
 
 def test_enumerate_cap_error_prints_no_csv_header(capsys):
     for argv, expected in [
         (("--max-lines", "99"), 3),
-        (("--max-lines", "2", "--max-trees", "-1"), 2),
+        (("--max-lines", "-1"), 2),
     ]:
         code, out, err = run(capsys, "enumerate", "--d", "2", *argv, "--format", "csv")
         assert (code, out) == (expected, "")
@@ -118,7 +115,7 @@ def test_series_csv(capsys):
 
 def test_series_order_cap_exits_3(capsys):
     assert run(capsys, "series", "--d", "2", "--order", "40")[0] == 3
-    assert run(capsys, "series", "--d", "2", "--order", "21", "--max-order", "25")[0] == 0
+    assert run(capsys, "series", "--d", "2", "--order", "20")[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -192,6 +189,18 @@ def test_roots_zero_residual_tol_exits_4(capsys):
     assert "residual" in err
 
 
+def test_roots_accepts_large_roots_by_their_backward_error(capsys):
+    # |g_3| is near 0, so Q has a root near -672; its residual 2.1e-10 is
+    # above 1e-10 * max|c_k| but far below 1e-10 * sum_k |c_k| |r|^k.
+    g = "0.0603845,-0.0349089,0.00149142,0.0160745,-0.0443491"
+    code, out, _ = run(capsys, "roots", "--d", "5", f"--g={g}", "--radius", "4.0")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["admissible"] is True and doc["inside_count"] == 1
+    assert sum(abs(complex(r["re"], r["im"])) < 4.0 for r in doc["roots"]) == 1
+    assert doc["residual_max"] > 1e-10
+
+
 def test_roots_bad_point_exits_2(capsys):
     assert run(capsys, "roots", "--d", "2", "--g", "0.1")[0] == 2
     assert run(capsys, "roots", "--d", "2", "--g", "0.1,oops")[0] == 2
@@ -242,7 +251,9 @@ def test_missing_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-# One cheap invocation per subcommand, and the override flags each one reads.
+# One cheap invocation per subcommand, and which of the three flags below
+# each one reads; --max-order and --max-trees no longer exist, so every
+# subcommand rejects them.
 BASE_ARGV = {
     "count": ("count", "--d", "2", "--profile", "1,1"),
     "enumerate": ("enumerate", "--d", "2", "--max-lines", "1"),
@@ -251,12 +262,7 @@ BASE_ARGV = {
     "roots": ("roots", "--d", "2", "--g", "0.1,0.1"),
     "sample": ("sample", "--d", "2", "--profile", "1,0", "--count", "1"),
 }
-READS = {
-    "enumerate": {"--max-trees"},
-    "series": {"--max-order"},
-    "verify": {"--max-order", "--max-trees"},
-    "sample": {"--seed"},
-}
+READS = {"sample": {"--seed"}}
 
 
 @pytest.mark.parametrize("command", sorted(BASE_ARGV))
@@ -309,16 +315,32 @@ BIG = "1" + "0" * 2200
         # sample --count
         (("sample", "--d", "2", "--profile", "1,0", "--count", "2001"), 3),
         (("sample", "--d", "2", "--profile", "1,0", "--count", "2000"), 0),
-        # negative overrides are usage errors, not budget errors
-        (("enumerate", "--d", "2", "--max-lines", "2", "--max-trees", "-1"), 2),
-        (("verify", "oracle", "--d", "2", "--order", "2", "--max-trees", "-1"), 2),
-        (("series", "--d", "2", "--order", "2", "--max-order", "-1"), 2),
-        (("verify", "recursion", "--d", "2", "--order", "2", "--max-order", "-1"), 2),
+        # negative sizes are usage errors, not budget errors
+        (("enumerate", "--d", "2", "--max-lines", "-1"), 2),
+        (("verify", "oracle", "--d", "2", "--order", "-1"), 2),
+        (("series", "--d", "2", "--order", "-1"), 2),
+        (("verify", "recursion", "--d", "2", "--order", "-1"), 2),
         # invalid residual tolerances and points whose polynomial overflows
         (("roots", "--d", "2", "--g", "0.1,0.1", "--residual-tol", "nan"), 2),
         (("roots", "--d", "2", "--g", "0.1,0.1", "--residual-tol", "inf"), 2),
         (("roots", "--d", "2", "--g", "0.1,0.1", "--residual-tol=-1"), 2),
         (("roots", "--d", "2", "--g", "1e300,1e300"), 2),
+        # caps that bind the CLI only (the library is uncapped): at the cap
+        # and one above
+        (("series", "--d", "2", "--order", "20"), 0),
+        (("series", "--d", "2", "--order", "21"), 3),
+        (("series", "--d", "4", "--order", "9", "--n", "2"), 3),
+        (("verify", "recursion", "--d", "2", "--order", "20", "--n-max", "1"), 0),
+        (("verify", "recursion", "--d", "2", "--order", "21", "--n-max", "1"), 3),
+        (("verify", "geometric", "--d", "3", "--order", "13"), 3),
+        (("verify", "convolution", "--d", "4", "--order", "9"), 3),
+        (("enumerate", "--d", "2", "--max-lines", "8"), 0),
+        (("enumerate", "--d", "2", "--max-lines", "9"), 3),
+        (("verify", "oracle", "--d", "2", "--order", "8"), 0),
+        (("verify", "oracle", "--d", "2", "--order", "9"), 3),
+        (("sample", "--d", "2", "--profile", "15,15", "--count", "3"), 0),
+        (("sample", "--d", "2", "--profile", "16,15", "--count", "3"), 3),
+        (("sample", "--d", "4", "--profile", "3,3,3,2", "--count", "3"), 3),
     ],
 )
 def test_caps_and_invalid_values(capsys, argv, code):
@@ -341,19 +363,17 @@ def test_count_at_its_caps_prints_the_largest_count(capsys):
 
 # Fuzzed argv: d is 2..4, other values are small integers (one per color for
 # --profile and --g), and at most one value or list entry is replaced by a
-# wild one: zero, negative, huge, non-finite or not a number.  Override
-# flags never get a wild value, so no input can ask for uncapped work.
+# wild one: zero, negative, huge, non-finite or not a number.
 SMALL = st.integers(1, 4).map(str)
 WILD = st.sampled_from(
     ["0", "-1", "-7", "1" + "0" * 400, BIG, "1e400", "nan", "inf", "-inf", "0.5", "x", ""]
 )
-OVERRIDES = {"--max-order", "--max-trees"}
 LISTS = {"--profile", "--g"}
 FLAGS = {
     "count": ["--profile", "--n"],
-    "enumerate": ["--max-lines", "--max-trees"],
-    "series": ["--order", "--n", "--max-order"],
-    "verify": ["--order", "--n-max", "--n", "--m", "--max-order", "--max-trees"],
+    "enumerate": ["--max-lines"],
+    "series": ["--order", "--n"],
+    "verify": ["--order", "--n-max", "--n", "--m"],
     "roots": ["--g", "--radius", "--residual-tol"],
     "sample": ["--profile", "--count", "--seed"],
 }
@@ -369,7 +389,7 @@ def cli_argv(draw):
         argv.append(f"--format={draw(st.sampled_from(['json', 'csv', 'text']))}")
     d = draw(st.integers(2, 4))
     flags = ["--d", *FLAGS[command]]
-    wild = draw(st.sampled_from([None, *(f for f in flags if f not in OVERRIDES)]))
+    wild = draw(st.sampled_from([None, *flags]))
     for flag in flags:
         if flag != wild and not draw(st.integers(0, 5)):
             continue

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from linetrees.combinatorics import ColorProfile, closed_form_count, profiles_with_total
 from linetrees.counting import ProfileCountTable, SampleRequest, SplitMix64
-from linetrees.errors import BudgetExceeded, DomainError, IndexOutOfRange
+from linetrees.errors import DomainError, IndexOutOfRange
 from linetrees.trees import (
     ColoredTree,
     decode,
@@ -36,7 +36,7 @@ def test_recursive_count_known_values():
 @pytest.mark.parametrize("d,max_total", [(2, 6), (3, 6), (4, 4)])
 def test_triple_agreement(d, max_total):
     """Recursion, closed form, and brute force agree on every profile."""
-    table = ProfileCountTable(d, max_total=max_total)
+    table = ProfileCountTable(d)
     groups = brute_force_sets(d, max_total)
     for total in range(max_total + 1):
         for counts in profiles_with_total(d, total):
@@ -72,7 +72,7 @@ def test_unrank_out_of_range():
 def test_unrank_bijectivity(d):
     """Unranking every index yields exactly the brute-force tree sets."""
     max_total = 5
-    table = ProfileCountTable(d, max_total=max_total)
+    table = ProfileCountTable(d)
     groups = brute_force_sets(d, max_total)
     for total in range(max_total + 1):
         for counts in profiles_with_total(d, total):
@@ -88,12 +88,20 @@ def test_unrank_bijectivity(d):
             assert encodings == groups[counts]
 
 
-def test_budget_cap():
-    table = ProfileCountTable(2, max_total=4)
-    with pytest.raises(BudgetExceeded):
-        table.recursive_count(ColorProfile(2, (3, 2)))
-    with pytest.raises(BudgetExceeded):
-        ProfileCountTable(3).recursive_count(ColorProfile(3, (8, 8, 0)))
+def test_table_is_uncapped_past_the_cli_profile_total_cap():
+    # The profile-total cap (30 at d=2) binds the CLI only.
+    table = ProfileCountTable(2)
+    for counts in profiles_with_total(2, 32):
+        profile = ColorProfile(2, counts)
+        assert table.recursive_count(profile) == closed_form_count(profile, 1)
+    profile = ColorProfile(3, (8, 8, 0))
+    assert ProfileCountTable(3).recursive_count(profile) == closed_form_count(profile, 1)
+
+
+def test_table_rejects_bad_colors():
+    for d in (1, 9):
+        with pytest.raises(DomainError):
+            ProfileCountTable(d)
 
 
 def test_table_rejects_foreign_profile():
@@ -293,5 +301,3 @@ def test_rank_rejects_invalid_or_foreign_trees():
         table.rank(profile, decode("(1:(1:()))", 2))
     with pytest.raises(DomainError):
         table.rank(ColorProfile(3, (1, 1, 0)), decode("(1:(2:()))", 2))
-    with pytest.raises(BudgetExceeded):
-        ProfileCountTable(2, max_total=1).rank(profile, decode("(1:(2:()))", 2))

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import random
 
 import pytest
 
@@ -143,6 +144,25 @@ def test_isolation_grid(d):
         report = rouche_isolation_check(build_char_polynomial(d, point), 2.0)
         assert report.admissible
         assert report.inside_count == 1
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_isolation_with_a_near_zero_coordinate(d):
+    """Admissible points with one |g_i| near 0, where Q has a root of norm
+    about 1/|g_i|: every root passes the backward-error bound and exactly
+    one lies inside R."""
+    rng = random.Random(d)
+    for radius in (1.5, 2.0, 3.0, 4.0):
+        epsilon = (radius ** (1.0 / d) - 1.0) / radius
+        for _ in range(25):
+            point = [rng.uniform(-0.9, 0.9) * epsilon for _ in range(d)]
+            point[rng.randrange(d)] *= 10 ** -rng.uniform(1, 8)
+            q = build_char_polynomial(d, point)
+            report = rouche_isolation_check(q, radius)
+            assert report.admissible and report.inside_count == 1
+            for root, _ in report.roots:
+                scale = sum(abs(c) * abs(root) ** k for k, c in enumerate(q.coefficients))
+                assert abs(q(root)) <= 1e-10 * scale
 
 
 def test_series_root_consistency_improves_with_order():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linetrees.combinatorics import ColorProfile, closed_form_count, profiles_with_total
-from linetrees.errors import BudgetExceeded, DomainError
+from linetrees.errors import DomainError
 from linetrees.limits import CAPS
 from linetrees.series import (
     MultiSeries,
@@ -63,11 +63,24 @@ def test_solve_d3_coefficient_111():
     assert solve_tree_equation(3, 3).coefficient((1, 1, 1)) == 16
 
 
-def test_solve_respects_order_cap():
-    with pytest.raises(BudgetExceeded):
-        solve_tree_equation(2, 21)
-    # explicit override lifts the cap
-    assert solve_tree_equation(2, 21, max_order=25).coefficient((0, 0)) == 1
+def test_solve_is_uncapped_past_the_cli_order_cap():
+    # The order cap (20 at d=2) binds the CLI only.
+    assert solve_tree_equation(2, 24) == closed_form_series(2, 1, 24)
+
+
+def test_series_functions_reject_bad_colors_and_negative_orders():
+    for call in (
+        lambda: solve_tree_equation(1, 2),
+        lambda: solve_tree_equation(9, 2),
+        lambda: solve_tree_equation(2, -1),
+        lambda: closed_form_series(9, 1, 2),
+        lambda: closed_form_series(2, 1, -1),
+        lambda: verify_linear_recursion(2, 1, -1),
+        lambda: verify_geometric(2, 1, -1),
+        lambda: verify_convolution(2, 1, 1, -1),
+    ):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_degree_stabilization_via_truncation_consistency():

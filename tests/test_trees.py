@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linetrees.combinatorics import ColorProfile
-from linetrees.errors import BudgetExceeded, ColorError, ColorOrderError, DomainError, ParseError
+from linetrees.combinatorics import ColorProfile, closed_form_count, profiles_with_total
+from linetrees.errors import ColorError, ColorOrderError, DomainError, ParseError
 from linetrees.trees import (
     ColoredTree,
     count_by_profile_bruteforce,
@@ -150,22 +150,26 @@ def test_enumerate_order_by_lines_then_lexicographic():
 
 
 def test_enumerate_budget_and_caps():
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_by_lines(2, 9))
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_by_lines(2, 4, max_trees=5))
     with pytest.raises(DomainError):
         list(enumerate_by_lines(1, 2))
 
 
 def test_enumerate_checks_caps_at_the_call():
     # Before the first tree is requested, so a caller prints nothing first.
-    with pytest.raises(BudgetExceeded):
-        enumerate_by_lines(2, 9)
     with pytest.raises(DomainError):
-        enumerate_by_lines(2, 2, max_trees=-1)
+        enumerate_by_lines(2, -1)
     with pytest.raises(DomainError):
         enumerate_by_lines(9, 2)
+
+
+def test_enumerate_is_uncapped_past_the_cli_line_cap():
+    # The max_lines cap (8 at d=2) binds the CLI only.
+    tally = count_by_profile_bruteforce(2, 9)
+    for total in range(10):
+        for counts in profiles_with_total(2, total):
+            profile = ColorProfile(2, counts)
+            assert tally.pop(profile) == closed_form_count(profile, 1)
+    assert tally == {}
 
 
 def test_count_by_profile_small():
