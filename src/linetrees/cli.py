@@ -82,17 +82,23 @@ def _csv_out(header, rows) -> None:
     writer.writerows(rows)
 
 
-def _print_trees(trees, fmt: str, **fields) -> None:
-    """One line per tree: its encoding, or a JSON object with the encoding
-    under "tree" followed by ``fields``; csv mode adds a ``tree`` header."""
+def _print_trees(encodings, fmt: str, **fields) -> None:
+    """One line per tree encoding: the encoding, or a JSON object with the
+    encoding under "tree" followed by ``fields``; csv mode writes a ``tree``
+    header and one quoted-as-needed field per row."""
     if fmt == "csv":
-        print("tree")
-    for tree in trees:
-        text = encode(tree)
-        if fmt == "json":
-            _print_json({"tree": text, **fields})
-        else:
-            print(text)
+        _csv_out(["tree"], ([text] for text in encodings))
+        return
+    write = sys.stdout.write
+    if fmt == "json":
+        # The encoding grammar never needs JSON escaping, so each line is one
+        # template with the encoding put between the quotes of "tree".
+        head, tail = json.dumps({"tree": "", **fields}, allow_nan=False).split('""', 1)
+        for text in encodings:
+            write(f'{head}"{text}"{tail}\n')
+    else:
+        for text in encodings:
+            write(f"{text}\n")
 
 
 def _run_count(args) -> int:
@@ -117,7 +123,8 @@ def _run_count(args) -> int:
 def _run_enumerate(args) -> int:
     d = check_colors(args.d)
     check_cap("max_lines", args.max_lines, d)
-    _print_trees(enumerate_by_lines(d, args.max_lines), args.format)
+    pairs = enumerate_by_lines(d, args.max_lines)
+    _print_trees((text for text, _ in pairs), args.format)
     return EXIT_OK
 
 
@@ -226,7 +233,7 @@ def _run_sample(args) -> int:
     request = SampleRequest(profile, args.count, args.seed)
     check_cap("profile total", profile.total, d)
     samples = ProfileCountTable(d).sample_uniform(request)
-    _print_trees(samples, args.format, profile=list(profile.counts))
+    _print_trees(map(encode, samples), args.format, profile=list(profile.counts))
     return EXIT_OK
 
 

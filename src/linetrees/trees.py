@@ -13,11 +13,17 @@ Canonical encoding grammar (a stable text format, also used by the CLI):
 
 Children are written in strictly ascending color order; ``decode`` rejects
 any other order, so ``encode`` is injective and ``decode(encode(t)) == t``.
+
+The enumerator builds each tree's encoding along with the tree and yields
+``(encoding, tree)`` pairs, so no tree is walked again to be encoded or
+sorted; ``encode`` stays the reference the carried encodings are tested
+against.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -27,9 +33,11 @@ from .limits import check_colors
 
 # The canonical encoding is a plain string over '(', ')', ',', ':' and digits.
 CanonicalEncoding = str
+# What the enumerator yields: a tree's encoding, then the tree.
+EncodedTree = tuple[CanonicalEncoding, "ColoredTree"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColoredTree:
     """Rooted tree whose edges carry integer colors.
 
@@ -141,8 +149,9 @@ def _parse_color(text: str, pos: int, d: int) -> tuple[int, int]:
     return color, pos
 
 
-def enumerate_by_lines(d: int, max_lines: int) -> Iterator[ColoredTree]:
-    """Yield every valid tree with at most ``max_lines`` edges, exactly once.
+def enumerate_by_lines(d: int, max_lines: int) -> Iterator[EncodedTree]:
+    """Yield an ``(encoding, tree)`` pair for every valid tree with at most
+    ``max_lines`` edges, exactly once; ``encoding`` equals ``encode(tree)``.
 
     Trees come out in increasing order of total edge count and, within one
     count, in lexicographic order of their canonical encodings.  The stream
@@ -155,28 +164,34 @@ def enumerate_by_lines(d: int, max_lines: int) -> Iterator[ColoredTree]:
     return _enumerate_levels(d, max_lines)
 
 
-def _enumerate_levels(d: int, max_lines: int) -> Iterator[ColoredTree]:
-    levels: list[list[ColoredTree]] = []
+def _enumerate_levels(d: int, max_lines: int) -> Iterator[EncodedTree]:
+    levels: list[list[EncodedTree]] = []
     for lines in range(max_lines + 1):
         level = _trees_with_exact_lines(d, lines, levels)
-        level.sort(key=encode)
+        # Encodings are unique, so the pairs sort by encoding alone.
+        level.sort()
         levels.append(level)
         yield from level
 
 
 def _trees_with_exact_lines(
-    d: int, lines: int, smaller: list[list[ColoredTree]]
-) -> list[ColoredTree]:
+    d: int, lines: int, smaller: list[list[EncodedTree]]
+) -> list[EncodedTree]:
     # Decompose at the root: pick the set of child colors, then split the
     # remaining edges among the subtrees.  Each tree arises exactly once.
+    # A tree's encoding joins its children's finished encodings, in the
+    # ascending color order that ``encode`` writes them.
     if lines == 0:
-        return [ColoredTree()]
-    out: list[ColoredTree] = []
+        return [("()", ColoredTree())]
+    out: list[EncodedTree] = []
     for arity in range(1, min(d, lines) + 1):
         for colors in itertools.combinations(range(1, d + 1), arity):
+            labels = [f"{color}:" for color in colors]
             for sizes in profiles_with_total(arity, lines - arity):
-                for subtrees in itertools.product(*(smaller[s] for s in sizes)):
-                    out.append(ColoredTree(tuple(zip(colors, subtrees))))
+                for entries in itertools.product(*(smaller[s] for s in sizes)):
+                    text = ",".join([label + entry[0] for label, entry in zip(labels, entries)])
+                    subtrees = [entry[1] for entry in entries]
+                    out.append((f"({text})", ColoredTree(tuple(zip(colors, subtrees)))))
     return out
 
 
@@ -186,8 +201,5 @@ def count_by_profile_bruteforce(d: int, max_total: int) -> dict[ColorProfile, Co
     The returned map has an entry for every profile with total <= max_total
     (every profile is realized by at least one chain).
     """
-    tally: dict[ColorProfile, CountValue] = {}
-    for tree in enumerate_by_lines(d, max_total):
-        profile = ColorProfile(d, profile_counts(tree, d))
-        tally[profile] = tally.get(profile, 0) + 1
-    return tally
+    tally = Counter(profile_counts(tree, d) for _, tree in enumerate_by_lines(d, max_total))
+    return {ColorProfile(d, counts): number for counts, number in tally.items()}

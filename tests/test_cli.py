@@ -12,6 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linetrees.cli import VERIFY_KINDS, main
+from linetrees.combinatorics import ColorProfile
+from linetrees.counting import ProfileCountTable, SampleRequest
+from linetrees.trees import decode, encode, enumerate_by_lines
 
 
 def run(capsys, *argv):
@@ -80,6 +83,46 @@ def test_enumerate_json_round_trips(capsys):
     assert code == 0
     docs = [json.loads(line) for line in out.splitlines()]
     assert [d["tree"] for d in docs] == ["()", "(1:())", "(2:())", "(3:())"]
+
+
+def test_enumerate_json_lines_equal_json_dumps(capsys):
+    code, out, _ = run(capsys, "enumerate", "--d", "3", "--max-lines", "4")
+    assert code == 0
+    pairs = enumerate_by_lines(3, 4)
+    assert out == "".join(json.dumps({"tree": text}, allow_nan=False) + "\n" for text, _ in pairs)
+
+
+def test_sample_json_lines_equal_json_dumps(capsys):
+    argv = ("sample", "--d", "3", "--profile", "2,2,1", "--count", "50", "--seed", "9")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    request = SampleRequest(ColorProfile(3, (2, 2, 1)), 50, 9)
+    expected = (
+        json.dumps({"tree": encode(tree), "profile": [2, 2, 1]}, allow_nan=False) + "\n"
+        for tree in ProfileCountTable(3).sample_uniform(request)
+    )
+    assert out == "".join(expected)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--d", "3", "--max-lines", "3"),
+        ("sample", "--d", "3", "--profile", "2,1,1", "--count", "40", "--seed", "5"),
+    ],
+    ids=["enumerate", "sample"],
+)
+def test_tree_csv_rows_are_one_decodable_field(capsys, argv):
+    """A tree's commas are quoted, so csv.reader reads one field per row."""
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["tree"]
+    assert all(len(row) == 1 for row in rows[1:])
+    for (text,) in rows[1:]:
+        decode(text, 3)
+    _, lines, _ = run(capsys, *argv, "--format", "text")
+    assert [text for (text,) in rows[1:]] == lines.splitlines()
 
 
 def test_enumerate_budget_exits_3(capsys):
@@ -416,23 +459,36 @@ def test_fuzz_main_exits_with_a_documented_code(argv):
             json.loads(line)
 
 
-def _recorded_sample_digests():
-    """(argv, sha256 of stdout) of every sample job the benchmark records."""
+def _recorded_digests(workloads, prefix=""):
+    """(argv, sha256 of stdout) of the jobs the benchmark records for
+    ``workloads`` whose argv starts with ``prefix``."""
     record = json.loads((Path(__file__).parents[1] / "bench" / "record.json").read_text())
     return [
         (argv, digest)
-        for workload in ("sample-draw", "cli-mix")
+        for workload in workloads
         for argv, digest in record["digests"][workload].items()
-        if argv.startswith("sample ")
+        if argv.startswith(prefix)
     ]
 
 
-_SAMPLE_DIGESTS = _recorded_sample_digests()
+_SAMPLE_DIGESTS = _recorded_digests(("sample-draw", "cli-mix"), "sample ")
+_ENUMERATE_DIGESTS = _recorded_digests(("enumerate-stream",))
 
 
 @pytest.mark.parametrize("argv,digest", _SAMPLE_DIGESTS, ids=[a for a, _ in _SAMPLE_DIGESTS])
 def test_sample_stdout_matches_recorded_digest(capsys, argv, digest):
     """sample prints byte-identical trees for the recorded argvs and seeds."""
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,digest", _ENUMERATE_DIGESTS, ids=[a for a, _ in _ENUMERATE_DIGESTS]
+)
+def test_enumerate_stream_stdout_matches_recorded_digest(capsys, argv, digest):
+    """enumerate and verify oracle print byte-identical output for the
+    recorded argvs, which pins the enumeration order end to end."""
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -21,7 +21,7 @@ from linetrees.trees import (
 
 def brute_force_sets(d, max_total):
     groups = {}
-    for tree in enumerate_by_lines(d, max_total):
+    for _, tree in enumerate_by_lines(d, max_total):
         groups.setdefault(profile_counts(tree, d), set()).add(encode(tree))
     return groups
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from linetrees.combinatorics import ColorProfile, closed_form_count, profiles_with_total
 from linetrees.errors import ColorError, ColorOrderError, DomainError, ParseError
+from linetrees.limits import CAPS, MAX_COLORS
 from linetrees.trees import (
     ColoredTree,
     count_by_profile_bruteforce,
@@ -15,6 +16,7 @@ from linetrees.trees import (
     profile_counts,
     validate,
 )
+from linetrees.verification import verify_oracle
 
 LEAF = ColoredTree()
 
@@ -114,13 +116,13 @@ def test_encode_decode_round_trip(tree):
 
 
 def test_enumerate_trivial_levels():
-    assert [encode(t) for t in enumerate_by_lines(2, 0)] == ["()"]
+    assert [encode(t) for _, t in enumerate_by_lines(2, 0)] == ["()"]
     assert len(list(enumerate_by_lines(3, 1))) == 4
 
 
 def test_enumerate_d2_two_lines():
     # 1 + 2 + 5 trees by line count, in order (hand-checked level sets).
-    got = [encode(t) for t in enumerate_by_lines(2, 2)]
+    got = [encode(t) for _, t in enumerate_by_lines(2, 2)]
     assert got == [
         "()",
         "(1:())",
@@ -134,19 +136,37 @@ def test_enumerate_d2_two_lines():
 
 
 def test_enumerate_is_deterministic_and_duplicate_free():
-    first = [encode(t) for t in enumerate_by_lines(3, 4)]
-    second = [encode(t) for t in enumerate_by_lines(3, 4)]
+    first = [encode(t) for _, t in enumerate_by_lines(3, 4)]
+    second = [encode(t) for _, t in enumerate_by_lines(3, 4)]
     assert first == second
     assert len(set(first)) == len(first)
 
 
 def test_enumerate_order_by_lines_then_lexicographic():
-    stream = list(enumerate_by_lines(2, 4))
+    stream = [t for _, t in enumerate_by_lines(2, 4)]
     lines = [t.num_lines() for t in stream]
     assert lines == sorted(lines)
     for count in set(lines):
         level = [encode(t) for t in stream if t.num_lines() == count]
         assert level == sorted(level)
+
+
+@pytest.mark.parametrize("d,max_lines", [(2, 7), (3, 5), (4, 4)])
+def test_enumerate_carries_each_trees_encoding(d, max_lines):
+    """The carried string is the tree's canonical encoding, and each level's
+    strings are strictly increasing."""
+    previous_lines, previous_text = -1, ""
+    for text, tree in enumerate_by_lines(d, max_lines):
+        assert text == encode(tree)
+        assert decode(text, d) == tree
+        assert validate(tree, d)
+        lines = tree.num_lines()
+        if lines == previous_lines:
+            assert previous_text < text
+        else:
+            assert lines == previous_lines + 1
+        previous_lines, previous_text = lines, text
+    assert previous_lines == max_lines
 
 
 def test_enumerate_budget_and_caps():
@@ -191,3 +211,11 @@ def test_count_by_profile_spot_values():
 def test_profile_counts():
     assert profile_counts(chain(1, 2, 1), 2) == (2, 1)
     assert profile_counts(LEAF, 4) == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("d", range(2, MAX_COLORS + 1))
+def test_oracle_at_the_cli_line_caps(d):
+    # d=3 runs one below its cap of 8: at 8 the oracle enumerates 299,462
+    # trees and takes about 4.5 s, at 7 (52,787 trees) about 1 s.
+    order = 7 if d == 3 else CAPS["max_lines"][d]
+    assert verify_oracle(d, order).ok
