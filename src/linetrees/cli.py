@@ -45,14 +45,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_NUMERIC = 4
 
-VERIFY_KINDS = (
-    "recursion",
-    "geometric",
-    "convolution",
-    "fuss-catalan",
-    "narayana",
-    "oracle",
-)
 
 def _parse_profile(text: str, d: int) -> ColorProfile:
     try:
@@ -123,8 +115,7 @@ def _run_count(args) -> int:
 def _run_enumerate(args) -> int:
     d = check_colors(args.d)
     check_cap("max_lines", args.max_lines, d)
-    pairs = enumerate_by_lines(d, args.max_lines)
-    _print_trees((text for text, _ in pairs), args.format)
+    _print_trees(enumerate_by_lines(d, args.max_lines), args.format)
     return EXIT_OK
 
 
@@ -147,33 +138,43 @@ def _run_series(args) -> int:
     return EXIT_OK
 
 
+def _verify_narayana(d, args):
+    if d != 2:
+        raise DomainError("narayana verification is defined only for d=2")
+    return verify_narayana_bridge(check_cap("narayana order", args.order))
+
+
+# The options a verify kind may take besides --d and --format.
+_VERIFY_FLAGS = {
+    "--order": dict(
+        type=int, required=True, help="truncation order, max profile total or max vertex count"
+    ),
+    "--n-max": dict(type=int, default=3, help="levels to check"),
+    "--n": dict(type=int, default=1, help="first level"),
+    "--m": dict(type=int, default=1, help="second level"),
+}
+
+# Each verify kind: the flags it reads, and a runner that checks their caps
+# in argument order and then verifies.  The runners look the verifiers up by
+# name when they run, so a module-level rebinding of a verifier reaches them.
+VERIFY_KINDS = {
+    "recursion": (("--order", "--n-max"), lambda d, a: verify_linear_recursion(
+        d, check_cap("n_max", a.n_max), check_cap("order", a.order, d))),
+    "geometric": (("--order", "--n-max"), lambda d, a: verify_geometric(
+        d, check_cap("n_max", a.n_max), check_cap("order", a.order, d))),
+    "convolution": (("--order", "--n", "--m"), lambda d, a: verify_convolution(
+        d, check_cap("level", a.n), check_cap("level", a.m), check_cap("order", a.order, d))),
+    "fuss-catalan": (("--order",), lambda d, a: verify_fuss_catalan_rows(
+        d, check_cap("fuss-catalan order", a.order, d))),
+    "narayana": (("--order",), _verify_narayana),
+    "oracle": (("--order",), lambda d, a: verify_oracle(d, check_cap("max_lines", a.order, d))),
+}
+
+
 def _run_verify(args) -> int:
     d = check_colors(args.d)
     kind = args.kind
-    if kind == "recursion":
-        check_cap("n_max", args.n_max)
-        check_cap("order", args.order, d)
-        report = verify_linear_recursion(d, args.n_max, args.order)
-    elif kind == "geometric":
-        check_cap("n_max", args.n_max)
-        check_cap("order", args.order, d)
-        report = verify_geometric(d, args.n_max, args.order)
-    elif kind == "convolution":
-        check_cap("level", args.n)
-        check_cap("level", args.m)
-        check_cap("order", args.order, d)
-        report = verify_convolution(d, args.n, args.m, args.order)
-    elif kind == "fuss-catalan":
-        check_cap("fuss-catalan order", args.order, d)
-        report = verify_fuss_catalan_rows(d, args.order)
-    elif kind == "narayana":
-        if d != 2:
-            raise DomainError("narayana verification is defined only for d=2")
-        check_cap("narayana order", args.order)
-        report = verify_narayana_bridge(args.order)
-    else:
-        check_cap("max_lines", args.order, d)
-        report = verify_oracle(d, args.order)
+    report = VERIFY_KINDS[kind][1](d, args)
     doc = report.to_json_obj()
     if args.format == "json":
         _print_json(doc)
@@ -251,40 +252,34 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[common], help="closed-form count for one profile")
+    # Flags are matched exactly: an abbreviation such as "--n" for "--n-max"
+    # would let a command take a flag it does not read.
+    def command(subparsers, name, **kwargs):
+        return subparsers.add_parser(name, parents=[common], allow_abbrev=False, **kwargs)
+
+    p = command(sub, "count", help="closed-form count for one profile")
     p.add_argument("--profile", required=True, help="comma-separated per-color line counts")
     p.add_argument("--n", type=int, default=1, help="level (power of the generating function)")
     p.set_defaults(handler=_run_count)
 
-    p = sub.add_parser("enumerate", parents=[common], help="stream all trees up to a line budget")
+    p = command(sub, "enumerate", help="stream all trees up to a line budget")
     p.add_argument("--max-lines", type=int, required=True, help="maximum total line count")
     p.set_defaults(handler=_run_enumerate)
 
-    p = sub.add_parser(
-        "series", parents=[common], help="truncated generating-function coefficients"
-    )
+    p = command(sub, "series", help="truncated generating-function coefficients")
     p.add_argument("--order", type=int, required=True, help="truncation order (total degree)")
     p.add_argument("--n", type=int, default=1, help="level; 1 solves the functional equation")
     p.set_defaults(handler=_run_series)
 
-    p = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="run a coefficient-level identity check",
-    )
-    p.add_argument("kind", choices=VERIFY_KINDS)
-    p.add_argument(
-        "--order",
-        type=int,
-        required=True,
-        help="truncation order / max profile total / max vertex count, per kind",
-    )
-    p.add_argument("--n-max", type=int, default=3, help="levels to check (recursion, geometric)")
-    p.add_argument("--n", type=int, default=1, help="first level (convolution)")
-    p.add_argument("--m", type=int, default=1, help="second level (convolution)")
+    p = sub.add_parser("verify", help="run a coefficient-level identity check")
     p.set_defaults(handler=_run_verify)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, (flags, _) in VERIFY_KINDS.items():
+        k = command(kinds, kind)
+        for flag in flags:
+            k.add_argument(flag, **_VERIFY_FLAGS[flag])
 
-    p = sub.add_parser("roots", parents=[common], help="characteristic-polynomial root report")
+    p = command(sub, "roots", help="characteristic-polynomial root report")
     p.add_argument("--g", required=True, help="comma-separated real point, one value per color")
     p.add_argument("--radius", type=float, default=2.0, help="isolation radius R > 1")
     p.add_argument(
@@ -295,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_run_roots)
 
-    p = sub.add_parser("sample", parents=[common], help="uniform random trees with a fixed profile")
+    p = command(sub, "sample", help="uniform random trees with a fixed profile")
     p.add_argument("--profile", required=True, help="comma-separated per-color line counts")
     p.add_argument("--count", type=int, required=True, help="number of samples")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed for sampling")

@@ -47,9 +47,9 @@ def check_colors(d: int) -> int:
     return d
 
 
-def check_cap(name: str, value: int, d: int | None = None) -> None:
-    """Require ``0 <= value <= CAPS[name]``, the cap taken for ``d`` colors
-    when it is per-d.
+def check_cap(name: str, value: int, d: int | None = None) -> int:
+    """Return ``value`` if ``0 <= value <= CAPS[name]``, the cap taken for
+    ``d`` colors when it is per-d.
 
     Raises DomainError for a negative value and BudgetExceeded when
     ``value`` exceeds the cap.
@@ -62,3 +62,4 @@ def check_cap(name: str, value: int, d: int | None = None) -> None:
     if value > cap:
         where = "" if d is None else f" for d={d}"
         raise BudgetExceeded(f"{name} {value} exceeds the cap of {cap}{where}")
+    return value

@@ -1,9 +1,9 @@
 """Tree data structure, canonical text encoding, and exhaustive enumeration.
 
 This module is the brute-force oracle for the counting formulas: it builds
-every tree explicitly and never consults a closed form, so agreement between
-a tally produced here and :func:`linetrees.combinatorics.closed_form_count`
-is a genuine cross-check.
+every tree explicitly, as its canonical encoding, and never consults a closed
+form, so agreement between a tally produced here and
+:func:`linetrees.combinatorics.closed_form_count` is a genuine cross-check.
 
 Canonical encoding grammar (a stable text format, also used by the CLI):
 
@@ -14,10 +14,10 @@ Canonical encoding grammar (a stable text format, also used by the CLI):
 Children are written in strictly ascending color order; ``decode`` rejects
 any other order, so ``encode`` is injective and ``decode(encode(t)) == t``.
 
-The enumerator builds each tree's encoding along with the tree and yields
-``(encoding, tree)`` pairs, so no tree is walked again to be encoded or
-sorted; ``encode`` stays the reference the carried encodings are tested
-against.
+The enumerator works on encodings alone: it joins each tree's encoding from
+its children's finished encodings and yields plain strings, building no
+``ColoredTree``.  ``encode`` and ``decode`` are the reference the enumerated
+strings are tested against.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .limits import check_colors
 
 # The canonical encoding is a plain string over '(', ')', ',', ':' and digits.
 CanonicalEncoding = str
-# What the enumerator yields: a tree's encoding, then the tree.
-EncodedTree = tuple[CanonicalEncoding, "ColoredTree"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,14 +147,14 @@ def _parse_color(text: str, pos: int, d: int) -> tuple[int, int]:
     return color, pos
 
 
-def enumerate_by_lines(d: int, max_lines: int) -> Iterator[EncodedTree]:
-    """Yield an ``(encoding, tree)`` pair for every valid tree with at most
-    ``max_lines`` edges, exactly once; ``encoding`` equals ``encode(tree)``.
+def enumerate_by_lines(d: int, max_lines: int) -> Iterator[CanonicalEncoding]:
+    """Yield the canonical encoding of every valid tree with at most
+    ``max_lines`` edges, exactly once.
 
-    Trees come out in increasing order of total edge count and, within one
-    count, in lexicographic order of their canonical encodings.  The stream
-    is fully deterministic.  A d outside 2..MAX_COLORS or a negative
-    ``max_lines`` raises DomainError at the call, before the first tree.
+    Encodings come out in increasing order of total edge count and, within
+    one count, in lexicographic order.  The stream is fully deterministic.
+    A d outside 2..MAX_COLORS or a negative ``max_lines`` raises DomainError
+    at the call, before the first encoding.
     """
     check_colors(d)
     if max_lines < 0:
@@ -164,34 +162,32 @@ def enumerate_by_lines(d: int, max_lines: int) -> Iterator[EncodedTree]:
     return _enumerate_levels(d, max_lines)
 
 
-def _enumerate_levels(d: int, max_lines: int) -> Iterator[EncodedTree]:
-    levels: list[list[EncodedTree]] = []
+def _enumerate_levels(d: int, max_lines: int) -> Iterator[CanonicalEncoding]:
+    levels: list[list[CanonicalEncoding]] = []
     for lines in range(max_lines + 1):
         level = _trees_with_exact_lines(d, lines, levels)
-        # Encodings are unique, so the pairs sort by encoding alone.
         level.sort()
         levels.append(level)
         yield from level
 
 
 def _trees_with_exact_lines(
-    d: int, lines: int, smaller: list[list[EncodedTree]]
-) -> list[EncodedTree]:
+    d: int, lines: int, smaller: list[list[CanonicalEncoding]]
+) -> list[CanonicalEncoding]:
     # Decompose at the root: pick the set of child colors, then split the
     # remaining edges among the subtrees.  Each tree arises exactly once.
     # A tree's encoding joins its children's finished encodings, in the
     # ascending color order that ``encode`` writes them.
     if lines == 0:
-        return [("()", ColoredTree())]
-    out: list[EncodedTree] = []
+        return ["()"]
+    out: list[CanonicalEncoding] = []
     for arity in range(1, min(d, lines) + 1):
         for colors in itertools.combinations(range(1, d + 1), arity):
             labels = [f"{color}:" for color in colors]
             for sizes in profiles_with_total(arity, lines - arity):
-                for entries in itertools.product(*(smaller[s] for s in sizes)):
-                    text = ",".join([label + entry[0] for label, entry in zip(labels, entries)])
-                    subtrees = [entry[1] for entry in entries]
-                    out.append((f"({text})", ColoredTree(tuple(zip(colors, subtrees)))))
+                for children in itertools.product(*(smaller[s] for s in sizes)):
+                    text = ",".join([label + child for label, child in zip(labels, children)])
+                    out.append(f"({text})")
     return out
 
 
@@ -201,5 +197,10 @@ def count_by_profile_bruteforce(d: int, max_total: int) -> dict[ColorProfile, Co
     The returned map has an entry for every profile with total <= max_total
     (every profile is realized by at least one chain).
     """
-    tally = Counter(profile_counts(tree, d) for _, tree in enumerate_by_lines(d, max_total))
+    # Each edge of color c appears in the encoding as "c:" exactly once, and
+    # no other "c:" appears, because every color is one digit (MAX_COLORS <= 9).
+    labels = [f"{color}:" for color in range(1, d + 1)]
+    tally = Counter(
+        tuple(text.count(label) for label in labels) for text in enumerate_by_lines(d, max_total)
+    )
     return {ColorProfile(d, counts): number for counts, number in tally.items()}

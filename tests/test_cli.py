@@ -1,5 +1,6 @@
 """Tests for the command-line surface: schemas, formats, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linetrees.cli import VERIFY_KINDS, main
+from linetrees.cli import VERIFY_KINDS, _build_parser, main
 from linetrees.combinatorics import ColorProfile
 from linetrees.counting import ProfileCountTable, SampleRequest
 from linetrees.trees import decode, encode, enumerate_by_lines
@@ -88,8 +89,8 @@ def test_enumerate_json_round_trips(capsys):
 def test_enumerate_json_lines_equal_json_dumps(capsys):
     code, out, _ = run(capsys, "enumerate", "--d", "3", "--max-lines", "4")
     assert code == 0
-    pairs = enumerate_by_lines(3, 4)
-    assert out == "".join(json.dumps({"tree": text}, allow_nan=False) + "\n" for text, _ in pairs)
+    texts = enumerate_by_lines(3, 4)
+    assert out == "".join(json.dumps({"tree": text}, allow_nan=False) + "\n" for text in texts)
 
 
 def test_sample_json_lines_equal_json_dumps(capsys):
@@ -294,9 +295,9 @@ def test_missing_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-# One cheap invocation per subcommand, and which of the three flags below
-# each one reads; --max-order and --max-trees no longer exist, so every
-# subcommand rejects them.
+# One cheap invocation per subcommand and verify kind ("verify" alone runs
+# the oracle), and which of the flags below each one reads; --max-order and
+# --max-trees no longer exist, so every command rejects them.
 BASE_ARGV = {
     "count": ("count", "--d", "2", "--profile", "1,1"),
     "enumerate": ("enumerate", "--d", "2", "--max-lines", "1"),
@@ -304,12 +305,23 @@ BASE_ARGV = {
     "verify": ("verify", "oracle", "--d", "2", "--order", "1"),
     "roots": ("roots", "--d", "2", "--g", "0.1,0.1"),
     "sample": ("sample", "--d", "2", "--profile", "1,0", "--count", "1"),
+    **{
+        f"verify {kind}": ("verify", kind, "--d", "2", "--order", "1")
+        for kind in ("recursion", "geometric", "convolution", "fuss-catalan", "narayana")
+    },
 }
-READS = {"sample": {"--seed"}}
+READS = {
+    "count": {"--n"},
+    "series": {"--n"},
+    "sample": {"--seed"},
+    "verify recursion": {"--n-max"},
+    "verify geometric": {"--n-max"},
+    "verify convolution": {"--n", "--m"},
+}
 
 
 @pytest.mark.parametrize("command", sorted(BASE_ARGV))
-@pytest.mark.parametrize("flag", ["--max-order", "--max-trees", "--seed"])
+@pytest.mark.parametrize("flag", ["--max-order", "--max-trees", "--seed", "--n-max", "--n", "--m"])
 def test_subcommands_accept_only_the_flags_they_read(capsys, command, flag):
     argv = [*BASE_ARGV[command], flag, "5"]
     if flag in READS.get(command, ()):
@@ -318,6 +330,38 @@ def test_subcommands_accept_only_the_flags_they_read(capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def _options(parser):
+    """Option strings of a parser, without --help, --d and --format."""
+    skip = {"-h", "--help", "--d", "--format"}
+    return [opt for action in parser._actions for opt in action.option_strings if opt not in skip]
+
+
+def _subcommands(parser):
+    """Name -> parser of each subcommand, with verify split into its kinds."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    out = {}
+    for name, sub in action.choices.items():
+        if name == "verify":
+            out.update((f"verify {kind}", p) for kind, p in _subcommands(sub).items())
+        else:
+            out[name] = sub
+    return out
+
+
+def test_readme_flags_table_matches_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    header = "| subcommand | flags besides `--d` and `--format` |"
+    rows = readme.split(header, 1)[1].split("\n\n", 1)[0].strip().splitlines()[1:]
+    table = {}
+    for row in rows:
+        name, flags = (cell.strip() for cell in row.strip("|").split("|"))
+        table[name.strip("`")] = [flag.strip().strip("`") for flag in flags.split(",")]
+    parsers = _subcommands(_build_parser())
+    assert sorted(table) == sorted(parsers)
+    for name, sub in parsers.items():
+        assert table[name] == _options(sub), name
 
 
 BIG = "1" + "0" * 2200
@@ -416,18 +460,16 @@ FLAGS = {
     "count": ["--profile", "--n"],
     "enumerate": ["--max-lines"],
     "series": ["--order", "--n"],
-    "verify": ["--order", "--n-max", "--n", "--m"],
     "roots": ["--g", "--radius", "--residual-tol"],
     "sample": ["--profile", "--count", "--seed"],
+    **{f"verify {kind}": list(flags) for kind, (flags, _) in VERIFY_KINDS.items()},
 }
 
 
 @st.composite
 def cli_argv(draw):
     command = draw(st.sampled_from(sorted(FLAGS)))
-    argv = [command]
-    if command == "verify":
-        argv.append(draw(st.sampled_from(VERIFY_KINDS)))
+    argv = command.split()
     if draw(st.integers(0, 3)):
         argv.append(f"--format={draw(st.sampled_from(['json', 'csv', 'text']))}")
     d = draw(st.integers(2, 4))

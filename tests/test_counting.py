@@ -21,7 +21,8 @@ from linetrees.trees import (
 
 def brute_force_sets(d, max_total):
     groups = {}
-    for _, tree in enumerate_by_lines(d, max_total):
+    for text in enumerate_by_lines(d, max_total):
+        tree = decode(text, d)
         groups.setdefault(profile_counts(tree, d), set()).add(encode(tree))
     return groups
 

@@ -1,5 +1,7 @@
 """Tests for the tree structure, canonical encoding, and brute-force enumeration."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,13 +118,13 @@ def test_encode_decode_round_trip(tree):
 
 
 def test_enumerate_trivial_levels():
-    assert [encode(t) for _, t in enumerate_by_lines(2, 0)] == ["()"]
+    assert list(enumerate_by_lines(2, 0)) == ["()"]
     assert len(list(enumerate_by_lines(3, 1))) == 4
 
 
 def test_enumerate_d2_two_lines():
     # 1 + 2 + 5 trees by line count, in order (hand-checked level sets).
-    got = [encode(t) for _, t in enumerate_by_lines(2, 2)]
+    got = list(enumerate_by_lines(2, 2))
     assert got == [
         "()",
         "(1:())",
@@ -136,29 +138,29 @@ def test_enumerate_d2_two_lines():
 
 
 def test_enumerate_is_deterministic_and_duplicate_free():
-    first = [encode(t) for _, t in enumerate_by_lines(3, 4)]
-    second = [encode(t) for _, t in enumerate_by_lines(3, 4)]
+    first = list(enumerate_by_lines(3, 4))
+    second = list(enumerate_by_lines(3, 4))
     assert first == second
     assert len(set(first)) == len(first)
 
 
 def test_enumerate_order_by_lines_then_lexicographic():
-    stream = [t for _, t in enumerate_by_lines(2, 4)]
-    lines = [t.num_lines() for t in stream]
+    stream = list(enumerate_by_lines(2, 4))
+    lines = [decode(text, 2).num_lines() for text in stream]
     assert lines == sorted(lines)
     for count in set(lines):
-        level = [encode(t) for t in stream if t.num_lines() == count]
+        level = [text for text, n in zip(stream, lines) if n == count]
         assert level == sorted(level)
 
 
 @pytest.mark.parametrize("d,max_lines", [(2, 7), (3, 5), (4, 4)])
 def test_enumerate_carries_each_trees_encoding(d, max_lines):
-    """The carried string is the tree's canonical encoding, and each level's
-    strings are strictly increasing."""
+    """Each string decodes to a valid tree and re-encodes to itself, and each
+    level's strings are strictly increasing."""
     previous_lines, previous_text = -1, ""
-    for text, tree in enumerate_by_lines(d, max_lines):
-        assert text == encode(tree)
-        assert decode(text, d) == tree
+    for text in enumerate_by_lines(d, max_lines):
+        tree = decode(text, d)
+        assert encode(tree) == text
         assert validate(tree, d)
         lines = tree.num_lines()
         if lines == previous_lines:
@@ -215,7 +217,15 @@ def test_profile_counts():
 
 @pytest.mark.parametrize("d", range(2, MAX_COLORS + 1))
 def test_oracle_at_the_cli_line_caps(d):
-    # d=3 runs one below its cap of 8: at 8 the oracle enumerates 299,462
-    # trees and takes about 4.5 s, at 7 (52,787 trees) about 1 s.
-    order = 7 if d == 3 else CAPS["max_lines"][d]
-    assert verify_oracle(d, order).ok
+    assert verify_oracle(d, CAPS["max_lines"][d]).ok
+
+
+@pytest.mark.parametrize("d,max_lines", [(2, 7), (3, 5), (4, 4), (5, 4), (6, 3), (7, 3), (8, 3)])
+def test_string_tally_equals_a_tally_of_decoded_trees(d, max_lines):
+    """count_by_profile_bruteforce counts "c:" in each encoding, which is
+    exact only while every color is one digit."""
+    assert MAX_COLORS <= 9
+    trees = (decode(text, d) for text in enumerate_by_lines(d, max_lines))
+    tally = Counter(profile_counts(tree, d) for tree in trees)
+    expected = {ColorProfile(d, counts): number for counts, number in tally.items()}
+    assert count_by_profile_bruteforce(d, max_lines) == expected
