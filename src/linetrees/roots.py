@@ -14,6 +14,11 @@ roots come from the companion matrix (numpy.roots) under an explicit
 residual contract, exact zeros in the leading coefficients are deflated
 before root finding, and near-coincident roots are merged into one root
 with multiplicity within a documented clustering radius.
+
+numpy is imported on the first root-finding call, not with this module:
+the package imports this module, and importing numpy (about 0.1 s) costs
+more than the work of most other commands, none of which uses floating
+point.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DegenerateError, DomainError, RootFindingFailure
 
@@ -126,7 +129,8 @@ def roots_all(q: CharPolynomial, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> 
     that appear when some |g_i| is near 0 are judged on the same footing
     as the small ones.  Otherwise RootFindingFailure carries the largest
     residual |Q(r)|, which the report also gives as ``residual_max``.
-    ``residual_tol`` must be finite and >= 0.
+    A root or a residual that overflows floating point also raises
+    RootFindingFailure.  ``residual_tol`` must be finite and >= 0.
     """
     if not 0 <= residual_tol < math.inf:
         raise DomainError(f"residual_tol must be finite and >= 0, got {residual_tol}")
@@ -135,12 +139,29 @@ def roots_all(q: CharPolynomial, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> 
         raise DegenerateError(
             "polynomial is constant after deflation; no roots to find"
         )
-    raw = np.roots(np.array(coeffs[::-1], dtype=np.complex128))
+    import numpy as np  # here, so that commands which find no roots start without numpy
+
+    try:
+        # A tiny leading coefficient overflows the companion matrix, whose
+        # first row is divided by it; the roots are then not finite either.
+        with np.errstate(over="raise", invalid="raise"):
+            raw = np.roots(np.array(coeffs[::-1], dtype=np.complex128))
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise RootFindingFailure(
+            f"the roots overflow floating point ({exc})", best_residual=math.inf
+        )
     found = [complex(r) for r in raw]
     residuals = [abs(q(r)) for r in found]
+    if not all(math.isfinite(residual) for residual in residuals):
+        raise RootFindingFailure(
+            "the residual |Q(r)| at a root overflows floating point", best_residual=math.inf
+        )
     residual_max = max(residuals, default=0.0)
     for r, residual in zip(found, residuals):
-        scale = sum(abs(c) * abs(r) ** k for k, c in enumerate(coeffs))
+        # Horner form: |r|**k alone overflows for large roots of tiny |c_k|.
+        scale = 0.0
+        for c in reversed(coeffs):
+            scale = scale * abs(r) + abs(c)
         if not residual <= residual_tol * scale:
             raise RootFindingFailure(
                 f"root residual {residual:.3e} exceeds {residual_tol:.1e} * {scale:.3e}",

@@ -5,6 +5,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -245,6 +248,32 @@ def test_roots_accepts_large_roots_by_their_backward_error(capsys):
     assert doc["residual_max"] > 1e-10
 
 
+@pytest.mark.parametrize(
+    "g,code",
+    [
+        ("1e-300,0.05", 0),
+        ("1e-300,0.5", 0),
+        ("0.05,0.05,0.05,0.05,0.05,0.05,0.05,1e-250", 4),
+        ("1e-200,1e-120", 4),
+        ("1e-160,1e-150", 4),
+    ],
+)
+def test_roots_near_underflow_coordinate_ends_without_traceback(capsys, g, code):
+    # Q has a root of norm about 1/|g_i|.  Near 1e300 it is finite and
+    # passes the backward-error bound; beyond the float range the companion
+    # matrix or |Q(r)| overflows, which is a numeric failure.
+    d = g.count(",") + 1
+    got, out, err = run(capsys, "roots", "--d", str(d), f"--g={g}")
+    assert got == code
+    if code == 0:
+        doc = json.loads(out)
+        assert doc["inside_count"] == 1
+        assert max(abs(complex(r["re"], r["im"])) for r in doc["roots"]) > 1e299
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_roots_bad_point_exits_2(capsys):
     assert run(capsys, "roots", "--d", "2", "--g", "0.1")[0] == 2
     assert run(capsys, "roots", "--d", "2", "--g", "0.1,oops")[0] == 2
@@ -450,10 +479,11 @@ def test_count_at_its_caps_prints_the_largest_count(capsys):
 
 # Fuzzed argv: d is 2..4, other values are small integers (one per color for
 # --profile and --g), and at most one value or list entry is replaced by a
-# wild one: zero, negative, huge, non-finite or not a number.
+# wild one: zero, negative, huge, near underflow, non-finite or not a number.
 SMALL = st.integers(1, 4).map(str)
 WILD = st.sampled_from(
-    ["0", "-1", "-7", "1" + "0" * 400, BIG, "1e400", "nan", "inf", "-inf", "0.5", "x", ""]
+    ["0", "-1", "-7", "1" + "0" * 400, BIG, "1e400", "1e-300",
+     "nan", "inf", "-inf", "0.5", "x", ""]
 )
 LISTS = {"--profile", "--g"}
 FLAGS = {
@@ -534,3 +564,45 @@ def test_enumerate_stream_stdout_matches_recorded_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_STARTUP_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+before = set(sys.modules)
+from linetrees import cli
+foreign = sorted(
+    name for name in set(sys.modules) - before
+    if name.partition(".")[0] not in sys.stdlib_module_names | {"linetrees"}
+)
+codes = []
+with redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(cli.main(argv))
+    exact_numpy = "numpy" in sys.modules
+    roots_code = cli.main(["roots", "--d", "2", "--g", "0.1,0.1"])
+print(json.dumps([foreign, codes, exact_numpy, roots_code, "numpy" in sys.modules]))
+"""
+
+
+def test_only_roots_loads_numpy():
+    """Importing the CLI loads only the standard library and the package, so
+    a fresh start pays for no numpy import; the exact-integer commands leave
+    numpy unloaded and the first root finding loads it."""
+    exact = [
+        ["count", "--d", "2", "--profile", "3,2"],
+        ["series", "--d", "2", "--order", "6"],
+        ["enumerate", "--d", "2", "--max-lines", "3"],
+        ["sample", "--d", "3", "--profile", "1,1,1", "--count", "3"],
+        ["verify", "recursion", "--d", "2", "--order", "6"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(exact)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    foreign, codes, exact_numpy, roots_code, roots_numpy = json.loads(result.stdout)
+    assert foreign == []
+    assert codes == [0] * len(exact)
+    assert not exact_numpy
+    assert roots_code == 0 and roots_numpy
