@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .combinatorics import (
     ColorProfile,
-    CountValue,
     binomial,
     closed_form_count,
     fuss_catalan_total,
@@ -43,7 +42,6 @@ from .series import (
     verify_linear_recursion,
 )
 from .trees import (
-    CanonicalEncoding,
     ColoredTree,
     count_by_profile_bruteforce,
     decode,

@@ -27,9 +27,6 @@ from typing import Iterator
 from .errors import DomainError, IntegralityViolation
 from .limits import check_colors
 
-# Counts are plain Python ints: arbitrary precision, never rounded.
-CountValue = int
-
 
 @dataclass(frozen=True)
 class ColorProfile:
@@ -56,7 +53,7 @@ class ColorProfile:
         return sum(self.counts)
 
 
-def binomial(n: int, k: int) -> CountValue:
+def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k); returns 0 when k < 0 or k > n."""
     if n < 0:
         raise DomainError(f"binomial requires n >= 0, got n={n}")
@@ -75,7 +72,7 @@ def exact_div(numerator: int, denominator: int) -> int:
     return quotient
 
 
-def closed_form_count(profile: ColorProfile, n: int = 1) -> CountValue:
+def closed_form_count(profile: ColorProfile, n: int = 1) -> int:
     """Level-n count for a color profile: n/(P+n) * prod_j C(P+n, p_j).
 
     For n=1 this is the number of rooted line-colored trees whose edge
@@ -91,7 +88,7 @@ def closed_form_count(profile: ColorProfile, n: int = 1) -> CountValue:
     return exact_div(product, p_total + n)
 
 
-def fuss_catalan_total(d: int, p_vertices: int) -> CountValue:
+def fuss_catalan_total(d: int, p_vertices: int) -> int:
     """Number of d-ary trees on a given number of vertices.
 
     Equals C(d*P + 1, P) / (d*P + 1) for P vertices (the d-Catalan number),
@@ -106,7 +103,7 @@ def fuss_catalan_total(d: int, p_vertices: int) -> CountValue:
     return exact_div(binomial(top, p_vertices), top)
 
 
-def narayana(n: int, k: int) -> CountValue:
+def narayana(n: int, k: int) -> int:
     """Narayana number N(n, k) = C(n, k) * C(n, k-1) / n for 1 <= k <= n.
 
     Two-color profile counts form the Narayana triangle:

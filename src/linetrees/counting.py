@@ -40,7 +40,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .combinatorics import ColorProfile, CountValue
+from .combinatorics import ColorProfile
 from .errors import DomainError, IndexOutOfRange
 from .limits import check_colors
 from .trees import ColoredTree, profile_counts, validate
@@ -124,7 +124,7 @@ class ProfileCountTable:
             (mask, tuple(color for color in range(1, d + 1) if mask >> (color - 1) & 1))
             for mask in range(1, 1 << d)
         )
-        self._counts: dict[tuple[int, ...], CountValue] = {}
+        self._counts: dict[tuple[int, ...], int] = {}
         # Per profile p: the admissible root subsets, each with p - chi_S, and
         # the cumulative ends of their index blocks.
         self._blocks: dict[tuple[int, ...], tuple[tuple, list[int]]] = {}
@@ -137,11 +137,11 @@ class ProfileCountTable:
             raise DomainError(f"profile has d={profile.d}, table has d={self.d}")
         return profile.counts
 
-    def recursive_count(self, profile: ColorProfile) -> CountValue:
+    def recursive_count(self, profile: ColorProfile) -> int:
         """Number of trees with the given profile, from the root recursion."""
         return self._count(self._check(profile))
 
-    def _count(self, p: tuple[int, ...]) -> CountValue:
+    def _count(self, p: tuple[int, ...]) -> int:
         cached = self._counts.get(p)
         if cached is not None:
             return cached
@@ -162,7 +162,7 @@ class ProfileCountTable:
         self._counts[p] = result
         return result
 
-    def _split_sum(self, parts: int, remainder: tuple[int, ...]) -> CountValue:
+    def _split_sum(self, parts: int, remainder: tuple[int, ...]) -> int:
         """Sum over ordered splits of ``remainder`` into ``parts`` sub-profiles
         of the product of their counts."""
         if parts == 1:

@@ -63,9 +63,6 @@ class CharPolynomial:
             degree -= 1
         return degree
 
-    def deflated(self) -> tuple[complex, ...]:
-        return self.coefficients[: self.effective_degree + 1]
-
 
 @dataclass(frozen=True)
 class RootReport:
@@ -134,7 +131,7 @@ def roots_all(q: CharPolynomial, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> 
     """
     if not 0 <= residual_tol < math.inf:
         raise DomainError(f"residual_tol must be finite and >= 0, got {residual_tol}")
-    coeffs = q.deflated()
+    coeffs = q.coefficients[: q.effective_degree + 1]
     if len(coeffs) < 2:
         raise DegenerateError(
             "polynomial is constant after deflation; no roots to find"

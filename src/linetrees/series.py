@@ -12,9 +12,12 @@ assembles the level-n series directly from the counting formula; the
 verify_* functions compare the two routes coefficient by coefficient.
 
 Coefficients are arbitrary-precision integers throughout; truncation is by
-total degree, so every identity checked here is closed under it.  Products
-work degree by degree too: a pair of terms whose total degree exceeds the
-order is never formed.
+total degree, so every identity checked here is closed under it.
+`MultiSeries` offers construction that truncates (and `constant`), `+`,
+series x series `*`, `coefficient`, `items_sorted`, `evaluate` and
+`to_json_obj`; both operands of `+` and `*` must share d and order.
+Products work degree by degree: a pair of terms whose total degree exceeds
+the order is never formed.
 """
 
 from __future__ import annotations
@@ -63,10 +66,6 @@ class MultiSeries:
     def constant(cls, d: int, order: int, value: int = 1) -> "MultiSeries":
         return cls(d, order, {(0,) * d: value})
 
-    @classmethod
-    def zero(cls, d: int, order: int) -> "MultiSeries":
-        return cls(d, order, {})
-
     def coefficient(self, exponents: Sequence[int]) -> int:
         return self.coeffs.get(tuple(exponents), 0)
 
@@ -75,6 +74,8 @@ class MultiSeries:
         return sorted(self.coeffs.items(), key=lambda item: (sum(item[0]), item[0]))
 
     def _require_same_shape(self, other: "MultiSeries") -> None:
+        if not isinstance(other, MultiSeries):
+            raise DomainError(f"operand is not a MultiSeries: {other!r}")
         if self.d != other.d or self.order != other.order:
             raise DomainError(
                 f"shape mismatch: (d={self.d}, order={self.order}) vs "
@@ -88,17 +89,7 @@ class MultiSeries:
             out[key] = out.get(key, 0) + value
         return MultiSeries(self.d, self.order, out)
 
-    def __sub__(self, other: "MultiSeries") -> "MultiSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "MultiSeries":
-        return MultiSeries(self.d, self.order, {k: -v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return MultiSeries(
-                self.d, self.order, {k: v * other for k, v in self.coeffs.items()}
-            )
+    def __mul__(self, other: "MultiSeries") -> "MultiSeries":
         self._require_same_shape(other)
         left = _by_degree(self.coeffs, self.order)
         right = _by_degree(other.coeffs, self.order)
@@ -107,26 +98,6 @@ class MultiSeries:
             for bucket in right[: self.order - deg_a + 1]:
                 _accumulate(out, terms, bucket)
         return MultiSeries(self.d, self.order, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "MultiSeries":
-        if exponent < 0:
-            raise DomainError(f"series power must be >= 0, got {exponent}")
-        result = MultiSeries.constant(self.d, self.order, 1)
-        base = self
-        # Exponents stay tiny; square-and-multiply keeps big orders cheap.
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
-
-    def truncate(self, order: int) -> "MultiSeries":
-        """Drop all terms of total degree above ``order``."""
-        return MultiSeries(self.d, order, self.coeffs)
 
     def evaluate(self, point: Sequence[complex]) -> complex:
         """Value of the truncated sum at a complex point, by nested Horner."""
@@ -188,8 +159,6 @@ def elementary_symmetric_series(d: int, order: int) -> list[MultiSeries]:
     e_k is the sum of all squarefree degree-k monomials; with order < k it
     truncates to zero.
     """
-    if d < 1:
-        raise DomainError(f"need d >= 1 variables, got {d}")
     out = [MultiSeries.constant(d, order, 1)]
     for k in range(1, d + 1):
         coeffs: dict[tuple[int, ...], int] = {}

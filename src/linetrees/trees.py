@@ -9,7 +9,7 @@ Canonical encoding grammar (a stable text format, also used by the CLI):
 
     tree  := "(" [entry ("," entry)*] ")"
     entry := color ":" tree
-    color := decimal integer >= 1
+    color := decimal integer >= 1, ASCII digits without a leading zero
 
 Children are written in strictly ascending color order; ``decode`` rejects
 any other order, so ``encode`` is injective and ``decode(encode(t)) == t``.
@@ -27,12 +27,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .combinatorics import ColorProfile, CountValue, profiles_with_total
+from .combinatorics import ColorProfile, profiles_with_total
 from .errors import ColorError, ColorOrderError, DomainError, ParseError
 from .limits import check_colors
-
-# The canonical encoding is a plain string over '(', ')', ',', ':' and digits.
-CanonicalEncoding = str
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,13 +48,6 @@ class ColoredTree:
     def __post_init__(self):
         ordered = tuple(sorted(self.children, key=lambda entry: entry[0]))
         object.__setattr__(self, "children", ordered)
-
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def num_lines(self) -> int:
-        """Total number of edges in the tree."""
-        return sum(1 + child.num_lines() for _, child in self.children)
 
 
 def validate(tree: ColoredTree, d: int) -> bool:
@@ -85,13 +75,13 @@ def profile_counts(tree: ColoredTree, d: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def encode(tree: ColoredTree) -> CanonicalEncoding:
+def encode(tree: ColoredTree) -> str:
     """Canonical text form of a tree; children appear in ascending color order."""
     entries = ",".join(f"{color}:{encode(child)}" for color, child in tree.children)
     return f"({entries})"
 
 
-def decode(text: CanonicalEncoding, d: int) -> ColoredTree:
+def decode(text: str, d: int) -> ColoredTree:
     """Parse a canonical encoding, enforcing the grammar and canonical order.
 
     Raises ParseError (with byte offset) on malformed syntax, ColorError on
@@ -136,18 +126,22 @@ def _parse_tree(text: str, pos: int, d: int) -> tuple[ColoredTree, int]:
 
 
 def _parse_color(text: str, pos: int, d: int) -> tuple[int, int]:
+    # ASCII digits only: str.isdigit() also admits superscripts and the
+    # digits of other scripts, which int() then rejects or reads.
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and "0" <= text[pos] <= "9":
         pos += 1
     if pos == start:
         raise ParseError("expected a color (decimal digits)", pos)
+    if text[start] == "0" and pos - start > 1:
+        raise ParseError("a color has no leading zero", start)
     color = int(text[start:pos])
     if color < 1 or color > d:
         raise ColorError(f"color {color} out of range 1..{d}")
     return color, pos
 
 
-def enumerate_by_lines(d: int, max_lines: int) -> Iterator[CanonicalEncoding]:
+def enumerate_by_lines(d: int, max_lines: int) -> Iterator[str]:
     """Yield the canonical encoding of every valid tree with at most
     ``max_lines`` edges, exactly once.
 
@@ -162,8 +156,8 @@ def enumerate_by_lines(d: int, max_lines: int) -> Iterator[CanonicalEncoding]:
     return _enumerate_levels(d, max_lines)
 
 
-def _enumerate_levels(d: int, max_lines: int) -> Iterator[CanonicalEncoding]:
-    levels: list[list[CanonicalEncoding]] = []
+def _enumerate_levels(d: int, max_lines: int) -> Iterator[str]:
+    levels: list[list[str]] = []
     for lines in range(max_lines + 1):
         level = _trees_with_exact_lines(d, lines, levels)
         level.sort()
@@ -172,15 +166,15 @@ def _enumerate_levels(d: int, max_lines: int) -> Iterator[CanonicalEncoding]:
 
 
 def _trees_with_exact_lines(
-    d: int, lines: int, smaller: list[list[CanonicalEncoding]]
-) -> list[CanonicalEncoding]:
+    d: int, lines: int, smaller: list[list[str]]
+) -> list[str]:
     # Decompose at the root: pick the set of child colors, then split the
     # remaining edges among the subtrees.  Each tree arises exactly once.
     # A tree's encoding joins its children's finished encodings, in the
     # ascending color order that ``encode`` writes them.
     if lines == 0:
         return ["()"]
-    out: list[CanonicalEncoding] = []
+    out: list[str] = []
     for arity in range(1, min(d, lines) + 1):
         for colors in itertools.combinations(range(1, d + 1), arity):
             labels = [f"{color}:" for color in colors]
@@ -191,7 +185,7 @@ def _trees_with_exact_lines(
     return out
 
 
-def count_by_profile_bruteforce(d: int, max_total: int) -> dict[ColorProfile, CountValue]:
+def count_by_profile_bruteforce(d: int, max_total: int) -> dict[ColorProfile, int]:
     """Tally the enumeration by color profile.
 
     The returned map has an entry for every profile with total <= max_total

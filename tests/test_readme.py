@@ -1,0 +1,56 @@
+"""Tests that keep README.md in step with the code it documents."""
+
+import re
+from pathlib import Path
+
+from linetrees.limits import CAPS, MAX_COLORS
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def format_cap(cap):
+    """A cap as the README writes it: a plain value, or runs of equal per-d
+    values as ``v (d=a,b)``, the run that reaches MAX_COLORS as ``v (d>=k)``."""
+    if not isinstance(cap, dict):
+        return str(cap)
+    runs = []
+    for d, value in sorted(cap.items()):
+        if runs and runs[-1][0] == value:
+            runs[-1][1].append(d)
+        else:
+            runs.append((value, [d]))
+    parts = []
+    for value, ds in runs:
+        if ds[-1] == MAX_COLORS:
+            parts.append(f"{value} (d>={ds[0]})")
+        else:
+            parts.append(f"{value} (d={','.join(map(str, ds))})")
+    return ", ".join(parts)
+
+
+def caps_table_rows():
+    section = README.split("## Budgets and caps", 1)[1]
+    rows = []
+    for line in section.splitlines():
+        if line.startswith("|"):
+            rows.append([cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]])
+        elif rows:
+            break
+    return rows[2:]  # past the header and the separator
+
+
+def test_readme_caps_table_matches_caps():
+    seen = set()
+    for limit, cap, _ in caps_table_rows():
+        keys = [name for name in re.findall(r"`([^`]+)`", limit) if name in CAPS]
+        assert len(keys) <= 1, limit
+        for key in keys:
+            assert cap == format_cap(CAPS[key]), key
+            seen.add(key)
+    assert seen == set(CAPS)
+
+
+def test_readme_library_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

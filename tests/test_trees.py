@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linetrees.combinatorics import ColorProfile, closed_form_count, profiles_with_total
-from linetrees.errors import ColorError, ColorOrderError, DomainError, ParseError
+from linetrees.errors import ColorError, ColorOrderError, DomainError, LineTreesError, ParseError
 from linetrees.limits import CAPS, MAX_COLORS
 from linetrees.trees import (
     ColoredTree,
@@ -79,12 +79,26 @@ def test_decode_rejects_out_of_range_color():
         ("(1())", 2),
         ("(1:()))", 6),
         ("(:())", 1),
+        # a color is ASCII digits without a leading zero
+        ("(²:())", 1),
+        ("(٣:())", 1),
+        ("(01:())", 1),
     ],
 )
 def test_decode_parse_errors_carry_offsets(text, offset):
     with pytest.raises(ParseError) as exc:
         decode(text, 3)
     assert exc.value.offset == offset
+
+
+@given(st.text(alphabet="()0123456789:,²٣"))
+@settings(max_examples=300, deadline=None)
+def test_decode_accepts_only_canonical_text(text):
+    try:
+        tree = decode(text, MAX_COLORS)
+    except LineTreesError:
+        return
+    assert encode(tree) == text
 
 
 def test_validate_examples():
@@ -146,7 +160,7 @@ def test_enumerate_is_deterministic_and_duplicate_free():
 
 def test_enumerate_order_by_lines_then_lexicographic():
     stream = list(enumerate_by_lines(2, 4))
-    lines = [decode(text, 2).num_lines() for text in stream]
+    lines = [sum(profile_counts(decode(text, 2), 2)) for text in stream]
     assert lines == sorted(lines)
     for count in set(lines):
         level = [text for text, n in zip(stream, lines) if n == count]
@@ -162,7 +176,7 @@ def test_enumerate_carries_each_trees_encoding(d, max_lines):
         tree = decode(text, d)
         assert encode(tree) == text
         assert validate(tree, d)
-        lines = tree.num_lines()
+        lines = sum(profile_counts(tree, d))
         if lines == previous_lines:
             assert previous_text < text
         else:
