@@ -48,7 +48,6 @@ from .trees import (
     encode,
     enumerate_by_lines,
     profile_counts,
-    validate,
 )
 from .verification import (
     Mismatch,

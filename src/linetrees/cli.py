@@ -31,7 +31,7 @@ from .limits import check_cap, check_colors
 from .roots import DEFAULT_RESIDUAL_TOL, build_char_polynomial, rouche_isolation_check
 from .series import closed_form_series, solve_tree_equation
 from .series import verify_convolution, verify_geometric, verify_linear_recursion
-from .trees import encode, enumerate_by_lines
+from .trees import enumerate_by_lines
 from .verification import (
     MAX_REPORTED_FAILURES,
     verify_fuss_catalan_rows,
@@ -234,7 +234,7 @@ def _run_sample(args) -> int:
     request = SampleRequest(profile, args.count, args.seed)
     check_cap("profile total", profile.total, d)
     samples = ProfileCountTable(d).sample_uniform(request)
-    _print_trees(map(encode, samples), args.format, profile=list(profile.counts))
+    _print_trees(samples, args.format, profile=list(profile.counts))
     return EXIT_OK
 
 

@@ -95,8 +95,7 @@ def fuss_catalan_total(d: int, p_vertices: int) -> int:
     which is also the sum of the per-profile counts over all profiles with
     P - 1 edges.
     """
-    if d < 2:
-        raise DomainError(f"need d >= 2 colors, got {d}")
+    check_colors(d)
     if p_vertices < 1:
         raise DomainError(f"need at least one vertex, got {p_vertices}")
     top = d * p_vertices + 1

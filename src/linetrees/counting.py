@@ -8,7 +8,9 @@ Writing N for the count,
     N(0) = 1,    N(p) = sum over S, sum over splits, prod_{i in S} N(q_i).
 
 Unranking realizes the same decomposition as a bijection from {0..N(p)-1}
-onto the trees with profile p, using this fixed order:
+onto the canonical encodings of the trees with profile p (joined from the
+children's encodings, as the enumerator of :mod:`linetrees.trees` joins
+them, with ``encode`` and ``decode`` as the reference), in this fixed order:
 
   * subsets S in ascending bitmask order, bit i-1 representing color i
     (so {1} < {2} < {1,2} < {3} < ...);
@@ -26,8 +28,8 @@ sub-profile q <= r in lexicographic order, whose last element is the split
 total.  Unranking bisects these lists: ``bisect_right`` on the block ends
 picks S, and at each split position it picks q from its lexicographic
 position j, decoded in mixed radix over (r_i + 1), so no q vectors are
-stored.  Ranking (:meth:`ProfileCountTable.rank`) adds up the same prefix
-sums, inverting unranking.
+stored.  Ranking (:meth:`ProfileCountTable.rank`) decodes an encoding and
+adds up the same prefix sums, inverting unranking.
 
 Sampling draws a uniform index below N(p) with a SplitMix64 generator and
 unranks it, so identical seeds reproduce identical trees on every platform.
@@ -43,12 +45,11 @@ from typing import Iterator, Sequence
 from .combinatorics import ColorProfile
 from .errors import DomainError, IndexOutOfRange
 from .limits import check_colors
-from .trees import ColoredTree, profile_counts, validate
+from .trees import ColoredTree, decode, profile_counts
 
 _MASK64 = (1 << 64) - 1
 
-# Trees are immutable, so every unranked tree shares one leaf.
-_LEAF = ColoredTree()
+_LEAF = "()"
 
 
 @dataclass(frozen=True)
@@ -180,8 +181,8 @@ class ProfileCountTable:
             self._split_ends[key] = ends
         return ends[-1]
 
-    def unrank(self, profile: ColorProfile, index: int) -> ColoredTree:
-        """The index-th tree with the given profile in the documented order."""
+    def unrank(self, profile: ColorProfile, index: int) -> str:
+        """Encoding of the index-th tree with the given profile in the documented order."""
         p = self._check(profile)
         n = self._count(p)
         if not 0 <= index < n:
@@ -190,7 +191,7 @@ class ProfileCountTable:
             )
         return self._unrank(p, index)
 
-    def _unrank(self, p: tuple[int, ...], index: int) -> ColoredTree:
+    def _unrank(self, p: tuple[int, ...], index: int) -> str:
         choices, ends = self._blocks[p]
         if not choices:
             return _LEAF
@@ -220,19 +221,19 @@ class ProfileCountTable:
         children = []
         for color, q in zip(reversed(colors), reversed(parts)):
             index, sub = divmod(index, self._counts[q])
-            children.append((color, self._unrank(q, sub)))
-        return ColoredTree(tuple(reversed(children)))
+            children.append(f"{color}:{self._unrank(q, sub)}")
+        children.reverse()
+        return f"({','.join(children)})"
 
-    def rank(self, profile: ColorProfile, tree: ColoredTree) -> int:
-        """The index of ``tree`` among the trees with the given profile; the
-        inverse of :meth:`unrank`.
+    def rank(self, profile: ColorProfile, text: str) -> int:
+        """The index of the tree encoded by ``text`` among the trees with the
+        given profile; the inverse of :meth:`unrank`.
 
-        Raises DomainError when the tree is not valid for the table's d or
-        its color profile differs from ``profile``.
+        Raises what ``decode(text, d)`` raises, and DomainError when the
+        tree's color profile differs from ``profile``.
         """
         p = self._check(profile)
-        if not validate(tree, self.d):
-            raise DomainError(f"tree is not a valid tree with d={self.d} colors")
+        tree = decode(text, self.d)
         found = profile_counts(tree, self.d)
         if found != p:
             raise DomainError(f"tree has profile {found}, expected {p}")
@@ -240,7 +241,7 @@ class ProfileCountTable:
         return self._rank(tree)[1]
 
     def _rank(self, tree: ColoredTree) -> tuple[tuple[int, ...], int]:
-        """Profile and index of a valid tree whose profile is in the memo."""
+        """Profile and index of a decoded tree whose profile is in the memo."""
         if not tree.children:
             return (0,) * self.d, 0
         colors = tuple(color for color, _ in tree.children)
@@ -264,8 +265,8 @@ class ProfileCountTable:
             sub = sub * self._counts[q] + sub_index
         return tuple(p), index + sub
 
-    def sample_uniform(self, request: SampleRequest) -> list[ColoredTree]:
-        """Draw ``request.count`` trees independently and uniformly.
+    def sample_uniform(self, request: SampleRequest) -> list[str]:
+        """Draw ``request.count`` tree encodings independently and uniformly.
 
         Deterministic given the seed: indices come from SplitMix64 rejection
         sampling (see :meth:`SplitMix64.below`) and are unranked in order.

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateError, DomainError, RootFindingFailure
+from .limits import check_colors
 
 # Backward-error bound: |Q(r)| relative to sum_k |c_k| |r|^k at each root r.
 DEFAULT_RESIDUAL_TOL = 1e-10
@@ -80,8 +81,7 @@ class RootReport:
 def build_char_polynomial(d: int, point: Sequence[complex]) -> CharPolynomial:
     """Assemble Q(X) from the point: elementary symmetric coefficients with
     the degree-one coefficient shifted by -1."""
-    if d < 2:
-        raise DomainError(f"need d >= 2 colors, got {d}")
+    check_colors(d)
     gs = tuple(complex(g) for g in point)
     if len(gs) != d:
         raise DomainError(f"point has {len(gs)} entries, expected d={d}")

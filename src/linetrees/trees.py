@@ -16,8 +16,9 @@ any other order, so ``encode`` is injective and ``decode(encode(t)) == t``.
 
 The enumerator works on encodings alone: it joins each tree's encoding from
 its children's finished encodings and yields plain strings, building no
-``ColoredTree``.  ``encode`` and ``decode`` are the reference the enumerated
-strings are tested against.
+``ColoredTree``; so does the unranker of :mod:`linetrees.counting`.  ``encode``
+and ``decode`` are the reference the enumerated and unranked strings are
+tested against.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ from .combinatorics import ColorProfile, profiles_with_total
 from .errors import ColorError, ColorOrderError, DomainError, ParseError
 from .limits import check_colors
 
+# Deepest vertex, in edges from the root, that decode accepts; decode and rank
+# recurse once or twice per level, and Python allows 1000 frames by default.
+MAX_DEPTH = 450
+
 
 @dataclass(frozen=True, slots=True)
 class ColoredTree:
@@ -38,9 +43,8 @@ class ColoredTree:
 
     ``children`` holds (color, subtree) pairs; construction sorts them by
     ascending color so structurally equal trees compare and hash equal.
-    Validity (distinct colors in range at every vertex) is checked by
-    :func:`validate`, not enforced here, so invalid candidates can be
-    represented and rejected.
+    Validity (distinct colors in range at every vertex) is not enforced
+    here; :func:`decode` checks it.
     """
 
     children: tuple[tuple[int, "ColoredTree"], ...] = field(default=())
@@ -48,16 +52,6 @@ class ColoredTree:
     def __post_init__(self):
         ordered = tuple(sorted(self.children, key=lambda entry: entry[0]))
         object.__setattr__(self, "children", ordered)
-
-
-def validate(tree: ColoredTree, d: int) -> bool:
-    """True iff every vertex has pairwise-distinct edge colors, all in 1..d."""
-    colors = [color for color, _ in tree.children]
-    if len(set(colors)) != len(colors):
-        return False
-    if any(color < 1 or color > d for color in colors):
-        return False
-    return all(validate(child, d) for _, child in tree.children)
 
 
 def profile_counts(tree: ColoredTree, d: int) -> tuple[int, ...]:
@@ -84,19 +78,21 @@ def encode(tree: ColoredTree) -> str:
 def decode(text: str, d: int) -> ColoredTree:
     """Parse a canonical encoding, enforcing the grammar and canonical order.
 
-    Raises ParseError (with byte offset) on malformed syntax, ColorError on
-    out-of-range or duplicate colors, and ColorOrderError when children are
-    not in ascending color order.
+    Raises ParseError (with byte offset) on malformed syntax or nesting
+    deeper than MAX_DEPTH, ColorError on out-of-range or duplicate colors,
+    and ColorOrderError when children are not in ascending color order.
     """
-    tree, pos = _parse_tree(text, 0, d)
+    tree, pos = _parse_tree(text, 0, d, 0)
     if pos != len(text):
         raise ParseError("trailing characters after tree", pos)
     return tree
 
 
-def _parse_tree(text: str, pos: int, d: int) -> tuple[ColoredTree, int]:
+def _parse_tree(text: str, pos: int, d: int, depth: int) -> tuple[ColoredTree, int]:
     if pos >= len(text) or text[pos] != "(":
         raise ParseError("expected '('", pos)
+    if depth > MAX_DEPTH:
+        raise ParseError(f"nesting deeper than {MAX_DEPTH} edges", pos)
     pos += 1
     if pos < len(text) and text[pos] == ")":
         return ColoredTree(), pos + 1
@@ -113,7 +109,7 @@ def _parse_tree(text: str, pos: int, d: int) -> tuple[ColoredTree, int]:
         previous_color = color
         if pos >= len(text) or text[pos] != ":":
             raise ParseError("expected ':' after color", pos)
-        child, pos = _parse_tree(text, pos + 1, d)
+        child, pos = _parse_tree(text, pos + 1, d, depth + 1)
         entries.append((color, child))
         if pos >= len(text):
             raise ParseError("unterminated vertex, expected ',' or ')'", pos)

@@ -28,7 +28,7 @@ from linetrees.series import (
     verify_geometric,
     verify_linear_recursion,
 )
-from linetrees.trees import count_by_profile_bruteforce, encode, profile_counts, validate
+from linetrees.trees import count_by_profile_bruteforce, decode, encode, profile_counts
 
 
 def _ok(number, name, elapsed=None):
@@ -147,15 +147,15 @@ def test_criterion_11_sampler_correctness(capsys):
     table = ProfileCountTable(3)
     total = table.recursive_count(profile)
     assert total == 16
-    encodings = {encode(table.unrank(profile, i)) for i in range(total)}
+    encodings = {table.unrank(profile, i) for i in range(total)}
     assert len(encodings) == 16
-    for i in range(total):
-        tree = table.unrank(profile, i)
-        assert validate(tree, 3)
+    for text in encodings:
+        tree = decode(text, 3)
+        assert encode(tree) == text
         assert profile_counts(tree, 3) == (1, 1, 1)
 
     samples = table.sample_uniform(SampleRequest(profile, 16000, 42))
-    counts = Counter(encode(t) for t in samples)
+    counts = Counter(samples)
     assert set(counts) == encodings
     expected = 16000 / 16
     statistic = sum((obs - expected) ** 2 / expected for obs in counts.values())

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from linetrees.cli import VERIFY_KINDS, _build_parser, main
 from linetrees.combinatorics import ColorProfile
 from linetrees.counting import ProfileCountTable, SampleRequest
-from linetrees.trees import decode, encode, enumerate_by_lines
+from linetrees.trees import ColoredTree, decode, enumerate_by_lines
 
 
 def run(capsys, *argv):
@@ -102,8 +102,8 @@ def test_sample_json_lines_equal_json_dumps(capsys):
     assert code == 0
     request = SampleRequest(ColorProfile(3, (2, 2, 1)), 50, 9)
     expected = (
-        json.dumps({"tree": encode(tree), "profile": [2, 2, 1]}, allow_nan=False) + "\n"
-        for tree in ProfileCountTable(3).sample_uniform(request)
+        json.dumps({"tree": text, "profile": [2, 2, 1]}, allow_nan=False) + "\n"
+        for text in ProfileCountTable(3).sample_uniform(request)
     )
     assert out == "".join(expected)
 
@@ -127,6 +127,31 @@ def test_tree_csv_rows_are_one_decodable_field(capsys, argv):
         decode(text, 3)
     _, lines, _ = run(capsys, *argv, "--format", "text")
     assert [text for (text,) in rows[1:]] == lines.splitlines()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--d", "3", "--profile", "2,2,1", "--count", "50", "--seed", "9"),
+        ("enumerate", "--d", "3", "--max-lines", "4"),
+    ],
+    ids=["sample", "enumerate"],
+)
+def test_tree_output_builds_no_tree_objects(capsys, monkeypatch, argv, fmt):
+    """sample and enumerate print encodings without calling encode or
+    building a ColoredTree."""
+    expected = run(capsys, *argv, "--format", fmt)
+    assert expected[0] == 0
+
+    def refuse(*args):
+        raise AssertionError("a tree object was built or encoded")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "linetrees" and hasattr(module, "encode"):
+            monkeypatch.setattr(module, "encode", refuse)
+    monkeypatch.setattr(ColoredTree, "__post_init__", refuse)
+    assert run(capsys, *argv, "--format", fmt) == expected
 
 
 def test_enumerate_budget_exits_3(capsys):

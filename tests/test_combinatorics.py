@@ -119,6 +119,12 @@ def test_fuss_catalan_known_values():
     assert fuss_catalan_total(3, 3) == 12
 
 
+@pytest.mark.parametrize("d,p_vertices", [(1, 3), (9, 3), (2, 0)])
+def test_fuss_catalan_rejects_bad_colors_and_vertices(d, p_vertices):
+    with pytest.raises(DomainError):
+        fuss_catalan_total(d, p_vertices)
+
+
 def test_narayana_known_values():
     assert narayana(3, 2) == 3
     assert narayana(1, 1) == 1

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from linetrees.combinatorics import ColorProfile, closed_form_count, profiles_with_total
 from linetrees.counting import ProfileCountTable, SampleRequest, SplitMix64
-from linetrees.errors import DomainError, IndexOutOfRange
+from linetrees.errors import ColorError, ColorOrderError, DomainError, IndexOutOfRange, ParseError
 from linetrees.trees import (
+    MAX_DEPTH,
     ColoredTree,
     decode,
     encode,
     enumerate_by_lines,
     profile_counts,
-    validate,
 )
 
 
@@ -48,13 +48,13 @@ def test_triple_agreement(d, max_total):
 
 
 def test_unrank_singleton():
-    assert encode(ProfileCountTable(2).unrank(ColorProfile(2, (1, 0)), 0)) == "(1:())"
+    assert ProfileCountTable(2).unrank(ColorProfile(2, (1, 0)), 0) == "(1:())"
 
 
 def test_unrank_documented_order_for_1_1():
     table = ProfileCountTable(2)
     profile = ColorProfile(2, (1, 1))
-    got = [encode(table.unrank(profile, i)) for i in range(3)]
+    got = [table.unrank(profile, i) for i in range(3)]
     # subset {1} first, then {2}, then {1,2}
     assert got == ["(1:(2:()))", "(2:(1:()))", "(1:(),2:())"]
     assert set(got) == {"(1:(2:()))", "(2:(1:()))", "(1:(),2:())"}
@@ -81,10 +81,11 @@ def test_unrank_bijectivity(d):
             n = table.recursive_count(profile)
             encodings = set()
             for index in range(n):
-                tree = table.unrank(profile, index)
-                assert validate(tree, d)
+                text = table.unrank(profile, index)
+                tree = decode(text, d)
+                assert encode(tree) == text
                 assert profile_counts(tree, d) == counts
-                encodings.add(encode(tree))
+                encodings.add(text)
             assert len(encodings) == n
             assert encodings == groups[counts]
 
@@ -158,20 +159,21 @@ def test_sample_request_validation():
 
 def test_sample_singleton_support():
     request = SampleRequest(ColorProfile(2, (1, 0)), 5, 99)
-    assert [encode(t) for t in ProfileCountTable(2).sample_uniform(request)] == ["(1:())"] * 5
+    assert ProfileCountTable(2).sample_uniform(request) == ["(1:())"] * 5
 
 
 def test_sample_determinism():
     request = SampleRequest(ColorProfile(3, (1, 1, 1)), 50, 42)
-    first = [encode(t) for t in ProfileCountTable(3).sample_uniform(request)]
-    second = [encode(t) for t in ProfileCountTable(3).sample_uniform(request)]
+    first = ProfileCountTable(3).sample_uniform(request)
+    second = ProfileCountTable(3).sample_uniform(request)
     assert first == second
 
 
 def test_sample_marginals():
     request = SampleRequest(ColorProfile(2, (2, 1)), 200, 7)
-    for tree in ProfileCountTable(2).sample_uniform(request):
-        assert validate(tree, 2)
+    for text in ProfileCountTable(2).sample_uniform(request):
+        tree = decode(text, 2)
+        assert encode(tree) == text
         assert profile_counts(tree, 2) == (2, 1)
 
 
@@ -275,9 +277,9 @@ def test_unrank_matches_linear_scan_and_rank_inverts_it_on_small_profiles(d, max
             n = table.recursive_count(profile)
             assert n == reference.count(counts)
             for index in range(n):
-                tree = table.unrank(profile, index)
-                assert encode(tree) == encode(reference.unrank(counts, index))
-                assert table.rank(profile, tree) == index
+                text = table.unrank(profile, index)
+                assert text == encode(reference.unrank(counts, index))
+                assert table.rank(profile, text) == index
 
 
 @pytest.mark.parametrize("profile", CAP_PROFILES, ids=lambda p: ",".join(map(str, p.counts)))
@@ -286,19 +288,36 @@ def test_unrank_matches_linear_scan_and_rank_inverts_it_at_cap_profiles(profile)
     reference = LinearScanUnranker(profile.d)
     n = table.recursive_count(profile)
     for index in cap_indices(n, seed=profile.total):
-        tree = table.unrank(profile, index)
-        assert encode(tree) == encode(reference.unrank(profile.counts, index))
-        assert table.rank(profile, tree) == index
+        text = table.unrank(profile, index)
+        assert text == encode(reference.unrank(profile.counts, index))
+        assert table.rank(profile, text) == index
 
 
 def test_rank_rejects_invalid_or_foreign_trees():
     table = ProfileCountTable(2)
     profile = ColorProfile(2, (1, 1))
-    with pytest.raises(DomainError):  # two edges of color 1 at the root
-        table.rank(profile, ColoredTree(((1, ColoredTree()), (1, ColoredTree()))))
-    with pytest.raises(DomainError):  # color 3 at d=2
-        table.rank(profile, decode("(3:())", 3))
-    with pytest.raises(DomainError):  # profile (2, 0), not (1, 1)
-        table.rank(profile, decode("(1:(1:()))", 2))
-    with pytest.raises(DomainError):
-        table.rank(ColorProfile(3, (1, 1, 0)), decode("(1:(2:()))", 2))
+    with pytest.raises(ColorError, match="duplicate color 1"):  # two color-1 edges at the root
+        table.rank(profile, "(1:(),1:())")
+    with pytest.raises(ColorOrderError, match="color 1 after 2"):
+        table.rank(profile, "(2:(),1:())")
+    with pytest.raises(ColorError, match=r"color 3 out of range 1\.\.2"):  # color 3 at d=2
+        table.rank(profile, "(3:())")
+    with pytest.raises(ParseError, match="expected ':' after color") as exc:
+        table.rank(profile, "(1())")
+    assert exc.value.offset == 2
+    with pytest.raises(DomainError, match=r"profile \(2, 0\), expected \(1, 1\)"):
+        table.rank(profile, "(1:(1:()))")
+    with pytest.raises(DomainError, match="profile has d=3, table has d=2"):
+        table.rank(ColorProfile(3, (1, 1, 0)), "(1:(2:()))")
+    with pytest.raises(ParseError) as exc:  # nested deeper than MAX_DEPTH
+        table.rank(ColorProfile(2, (1200, 0)), "(1:" * 1200 + "()" + ")" * 1200)
+    assert exc.value.offset == 3 * (MAX_DEPTH + 1)
+
+
+def test_rank_inverts_unrank_on_a_chain_of_max_depth():
+    # The one tree with profile (MAX_DEPTH, 0) is a chain of MAX_DEPTH edges.
+    table = ProfileCountTable(2)
+    profile = ColorProfile(2, (MAX_DEPTH, 0))
+    text = table.unrank(profile, 0)
+    assert text == "(1:" * MAX_DEPTH + "()" + ")" * MAX_DEPTH
+    assert table.rank(profile, text) == 0

@@ -46,6 +46,8 @@ def test_build_rejects_bad_shapes():
     with pytest.raises(DomainError):
         build_char_polynomial(1, (0.1,))
     with pytest.raises(DomainError):
+        build_char_polynomial(9, (0.1,) * 9)
+    with pytest.raises(DomainError):
         build_char_polynomial(2, (0.1, 0.1, 0.1))
 
 

@@ -10,13 +10,13 @@ from linetrees.combinatorics import ColorProfile, closed_form_count, profiles_wi
 from linetrees.errors import ColorError, ColorOrderError, DomainError, LineTreesError, ParseError
 from linetrees.limits import CAPS, MAX_COLORS
 from linetrees.trees import (
+    MAX_DEPTH,
     ColoredTree,
     count_by_profile_bruteforce,
     decode,
     encode,
     enumerate_by_lines,
     profile_counts,
-    validate,
 )
 from linetrees.verification import verify_oracle
 
@@ -101,11 +101,25 @@ def test_decode_accepts_only_canonical_text(text):
     assert encode(tree) == text
 
 
-def test_validate_examples():
-    assert validate(LEAF, 2)
-    assert not validate(ColoredTree(((1, LEAF), (1, LEAF))), 2)
-    assert validate(chain(1, 2), 2)
-    assert not validate(chain(1, 2), 1)
+def test_decode_round_trip_accepts_only_valid_trees():
+    assert decode(encode(LEAF), 2) == LEAF
+    with pytest.raises(ColorError):
+        decode(encode(ColoredTree(((1, LEAF), (1, LEAF)))), 2)
+    assert decode(encode(chain(1, 2)), 2) == chain(1, 2)
+    with pytest.raises(ColorError):
+        decode(encode(chain(1, 2)), 1)
+
+
+def test_decode_rejects_nesting_deeper_than_max_depth():
+    def nested(depth):
+        return "(1:" * depth + "()" + ")" * depth
+
+    assert profile_counts(decode(nested(MAX_DEPTH), 2), 2) == (MAX_DEPTH, 0)
+    for depth in (MAX_DEPTH + 1, 1200):
+        with pytest.raises(ParseError) as exc:
+            decode(nested(depth), 2)
+        # the "(" of the first vertex below MAX_DEPTH edges
+        assert exc.value.offset == 3 * (MAX_DEPTH + 1)
 
 
 @st.composite
@@ -128,7 +142,6 @@ def colored_trees(draw, d=3, depth=3):
 @settings(max_examples=80, deadline=None)
 def test_encode_decode_round_trip(tree):
     assert decode(encode(tree), 3) == tree
-    assert validate(tree, 3)
 
 
 def test_enumerate_trivial_levels():
@@ -175,7 +188,6 @@ def test_enumerate_carries_each_trees_encoding(d, max_lines):
     for text in enumerate_by_lines(d, max_lines):
         tree = decode(text, d)
         assert encode(tree) == text
-        assert validate(tree, d)
         lines = sum(profile_counts(tree, d))
         if lines == previous_lines:
             assert previous_text < text
