@@ -8,18 +8,20 @@ decimal strings; they outgrow 64-bit integers quickly.
 This is the one place the caps of ``limits.CAPS`` are applied: each handler
 checks its arguments before any work or output, and the library it calls is
 uncapped.
+
+A process loads only what its command runs: building the parser needs
+``errors`` and ``limits`` alone, and each handler, and each runner of
+``VERIFY_KINDS``, imports the engine module it calls when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import importlib
 import json
 import sys
 
 from . import __version__
-from .combinatorics import ColorProfile, closed_form_count
-from .counting import ProfileCountTable, SampleRequest
 from .errors import (
     BudgetExceeded,
     DomainError,
@@ -27,17 +29,7 @@ from .errors import (
     LineTreesError,
     RootFindingFailure,
 )
-from .limits import check_cap, check_colors
-from .roots import DEFAULT_RESIDUAL_TOL, build_char_polynomial, rouche_isolation_check
-from .series import closed_form_series, solve_tree_equation
-from .series import verify_convolution, verify_geometric, verify_linear_recursion
-from .trees import enumerate_by_lines
-from .verification import (
-    MAX_REPORTED_FAILURES,
-    verify_fuss_catalan_rows,
-    verify_narayana_bridge,
-    verify_oracle,
-)
+from .limits import DEFAULT_RESIDUAL_TOL, check_cap, check_colors
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -46,7 +38,9 @@ EXIT_BUDGET = 3
 EXIT_NUMERIC = 4
 
 
-def _parse_profile(text: str, d: int) -> ColorProfile:
+def _parse_profile(text: str, d: int):
+    from .combinatorics import ColorProfile
+
     try:
         counts = tuple(int(part) for part in text.split(","))
     except ValueError:
@@ -69,6 +63,8 @@ def _print_json(doc) -> None:
 
 
 def _csv_out(header, rows) -> None:
+    import csv
+
     writer = csv.writer(sys.stdout)
     writer.writerow(header)
     writer.writerows(rows)
@@ -94,6 +90,8 @@ def _print_trees(encodings, fmt: str, **fields) -> None:
 
 
 def _run_count(args) -> int:
+    from .combinatorics import closed_form_count
+
     profile = _parse_profile(args.profile, check_colors(args.d))
     if args.n < 1:
         raise DomainError(f"--n must be >= 1, got {args.n}")
@@ -113,6 +111,8 @@ def _run_count(args) -> int:
 
 
 def _run_enumerate(args) -> int:
+    from .trees import enumerate_by_lines
+
     d = check_colors(args.d)
     check_cap("max_lines", args.max_lines, d)
     _print_trees(enumerate_by_lines(d, args.max_lines), args.format)
@@ -120,6 +120,8 @@ def _run_enumerate(args) -> int:
 
 
 def _run_series(args) -> int:
+    from .series import closed_form_series, solve_tree_equation
+
     d = check_colors(args.d)
     check_cap("level", args.n)
     check_cap("order", args.order, d)
@@ -138,10 +140,16 @@ def _run_series(args) -> int:
     return EXIT_OK
 
 
+def _engine(name: str):
+    """The module ``linetrees.<name>``, imported on first use; the runners of
+    ``VERIFY_KINDS`` are lambdas, which cannot hold an import statement."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
 def _verify_narayana(d, args):
     if d != 2:
         raise DomainError("narayana verification is defined only for d=2")
-    return verify_narayana_bridge(check_cap("narayana order", args.order))
+    return _engine("verification").verify_narayana_bridge(check_cap("narayana order", args.order))
 
 
 # The options a verify kind may take besides --d and --format.
@@ -155,23 +163,27 @@ _VERIFY_FLAGS = {
 }
 
 # Each verify kind: the flags it reads, and a runner that checks their caps
-# in argument order and then verifies.  The runners look the verifiers up by
-# name when they run, so a module-level rebinding of a verifier reaches them.
+# in argument order and then verifies.  The runners look the verifiers up in
+# their modules when they run, so a module-level rebinding of a verifier
+# reaches them.
 VERIFY_KINDS = {
-    "recursion": (("--order", "--n-max"), lambda d, a: verify_linear_recursion(
+    "recursion": (("--order", "--n-max"), lambda d, a: _engine("series").verify_linear_recursion(
         d, check_cap("n_max", a.n_max), check_cap("order", a.order, d))),
-    "geometric": (("--order", "--n-max"), lambda d, a: verify_geometric(
+    "geometric": (("--order", "--n-max"), lambda d, a: _engine("series").verify_geometric(
         d, check_cap("n_max", a.n_max), check_cap("order", a.order, d))),
-    "convolution": (("--order", "--n", "--m"), lambda d, a: verify_convolution(
+    "convolution": (("--order", "--n", "--m"), lambda d, a: _engine("series").verify_convolution(
         d, check_cap("level", a.n), check_cap("level", a.m), check_cap("order", a.order, d))),
-    "fuss-catalan": (("--order",), lambda d, a: verify_fuss_catalan_rows(
+    "fuss-catalan": (("--order",), lambda d, a: _engine("verification").verify_fuss_catalan_rows(
         d, check_cap("fuss-catalan order", a.order, d))),
     "narayana": (("--order",), _verify_narayana),
-    "oracle": (("--order",), lambda d, a: verify_oracle(d, check_cap("max_lines", a.order, d))),
+    "oracle": (("--order",), lambda d, a: _engine("verification").verify_oracle(
+        d, check_cap("max_lines", a.order, d))),
 }
 
 
 def _run_verify(args) -> int:
+    from .verification import MAX_REPORTED_FAILURES
+
     d = check_colors(args.d)
     kind = args.kind
     report = VERIFY_KINDS[kind][1](d, args)
@@ -195,6 +207,8 @@ def _run_verify(args) -> int:
 
 
 def _run_roots(args) -> int:
+    from .roots import build_char_polynomial, rouche_isolation_check
+
     d = check_colors(args.d)
     point = _parse_point(args.g, d)
     q = build_char_polynomial(d, point)
@@ -228,6 +242,8 @@ def _run_roots(args) -> int:
 
 
 def _run_sample(args) -> int:
+    from .counting import ProfileCountTable, SampleRequest
+
     d = check_colors(args.d)
     profile = _parse_profile(args.profile, d)
     check_cap("sample count", args.count)

@@ -21,31 +21,42 @@ so a silent formula bug turns into a loud :class:`IntegralityViolation`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DomainError, IntegralityViolation
 from .limits import check_colors
 
 
-@dataclass(frozen=True)
 class ColorProfile:
     """Per-color edge counts (p_1, ..., p_D) of a tree, with D in
-    2..limits.MAX_COLORS colors."""
+    2..limits.MAX_COLORS colors.
 
-    d: int
-    counts: tuple[int, ...]
+    A value: profiles with equal d and counts compare and hash equal, so a
+    profile can key a dict.  Treat an instance as immutable.
+    """
 
-    def __post_init__(self):
-        check_colors(self.d)
-        counts = tuple(self.counts)
-        if len(counts) != self.d:
-            raise DomainError(
-                f"profile has {len(counts)} entries but d={self.d} colors"
-            )
+    __slots__ = ("d", "counts")
+
+    def __init__(self, d: int, counts: tuple[int, ...]):
+        check_colors(d)
+        counts = tuple(counts)
+        if len(counts) != d:
+            raise DomainError(f"profile has {len(counts)} entries but d={d} colors")
         if any(not isinstance(c, int) or c < 0 for c in counts):
             raise DomainError(f"profile entries must be non-negative integers: {counts}")
-        object.__setattr__(self, "counts", counts)
+        self.d = d
+        self.counts = counts
+
+    def __eq__(self, other):
+        if not isinstance(other, ColorProfile):
+            return NotImplemented
+        return self.d == other.d and self.counts == other.counts
+
+    def __hash__(self):
+        return hash((self.d, self.counts))
+
+    def __repr__(self):
+        return f"ColorProfile({self.d}, {self.counts})"
 
     @property
     def total(self) -> int:

@@ -39,32 +39,31 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .combinatorics import ColorProfile
 from .errors import DomainError, IndexOutOfRange
 from .limits import check_colors
-from .trees import ColoredTree, decode, profile_counts
 
 _MASK64 = (1 << 64) - 1
 
 _LEAF = "()"
 
 
-@dataclass(frozen=True)
 class SampleRequest:
-    """A deterministic sampling job: profile, number of draws, 64-bit seed."""
+    """A deterministic sampling job: profile, number of draws, 64-bit seed.
+    Treat an instance as immutable."""
 
-    profile: ColorProfile
-    count: int
-    seed: int
+    __slots__ = ("profile", "count", "seed")
 
-    def __post_init__(self):
-        if self.count < 1:
-            raise DomainError(f"count must be >= 1, got {self.count}")
-        if not 0 <= self.seed <= _MASK64:
-            raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+    def __init__(self, profile: ColorProfile, count: int, seed: int):
+        if count < 1:
+            raise DomainError(f"count must be >= 1, got {count}")
+        if not 0 <= seed <= _MASK64:
+            raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        self.profile = profile
+        self.count = count
+        self.seed = seed
 
 
 class SplitMix64:
@@ -232,6 +231,8 @@ class ProfileCountTable:
         Raises what ``decode(text, d)`` raises, and DomainError when the
         tree's color profile differs from ``profile``.
         """
+        from .trees import decode, profile_counts
+
         p = self._check(profile)
         tree = decode(text, self.d)
         found = profile_counts(tree, self.d)
@@ -240,8 +241,9 @@ class ProfileCountTable:
         self._count(p)
         return self._rank(tree)[1]
 
-    def _rank(self, tree: ColoredTree) -> tuple[tuple[int, ...], int]:
-        """Profile and index of a decoded tree whose profile is in the memo."""
+    def _rank(self, tree) -> tuple[tuple[int, ...], int]:
+        """Profile and index of a decoded ColoredTree whose profile is in the
+        memo."""
         if not tree.children:
             return (0,) * self.d, 0
         colors = tuple(color for color, _ in tree.children)

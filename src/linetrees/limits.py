@@ -40,6 +40,11 @@ CAPS: dict[str, int | dict[int, int]] = {
     "sample count": 2000,
 }
 
+# Default of roots --residual-tol and of the root finders of ``roots``: the
+# bound on |Q(r)| relative to sum_k |c_k| |r|^k at each root r.  It lives
+# here so that building the command line's parser does not import ``roots``.
+DEFAULT_RESIDUAL_TOL = 1e-10
+
 
 def check_colors(d: int) -> int:
     """Return ``d`` if it is a supported number of colors, an int in

@@ -16,35 +16,33 @@ before root finding, and near-coincident roots are merged into one root
 with multiplicity within a documented clustering radius.
 
 numpy is imported on the first root-finding call, not with this module:
-the package imports this module, and importing numpy (about 0.1 s) costs
-more than the work of most other commands, none of which uses floating
-point.
+importing numpy (about 0.1 s) costs more than building a polynomial, and
+a call that fails its argument checks needs no numpy.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateError, DomainError, RootFindingFailure
-from .limits import check_colors
-
-# Backward-error bound: |Q(r)| relative to sum_k |c_k| |r|^k at each root r.
-DEFAULT_RESIDUAL_TOL = 1e-10
+from .limits import DEFAULT_RESIDUAL_TOL, check_colors
 
 # Roots closer than this are reported as one root with multiplicity.
 CLUSTER_RADIUS = 1e-7
 
 
-@dataclass(frozen=True)
 class CharPolynomial:
-    """Q(X) at a fixed point g; ``coefficients[k]`` multiplies X^k."""
+    """Q(X) at a fixed point g; ``coefficients[k]`` multiplies X^k.  Treat an
+    instance as immutable."""
 
-    d: int
-    point: tuple[complex, ...]
-    coefficients: tuple[complex, ...]
+    __slots__ = ("d", "point", "coefficients")
+
+    def __init__(self, d: int, point: tuple[complex, ...], coefficients: tuple[complex, ...]):
+        self.d = d
+        self.point = point
+        self.coefficients = coefficients
 
     def __call__(self, x: complex) -> complex:
         value = 0j
@@ -65,17 +63,32 @@ class CharPolynomial:
         return degree
 
 
-@dataclass(frozen=True)
 class RootReport:
-    """Roots with multiplicities plus optional isolation diagnostics."""
+    """Roots with multiplicities plus optional isolation diagnostics.  Treat
+    an instance as immutable."""
 
-    roots: tuple[tuple[complex, int], ...]
-    residual_max: float
-    radius: float | None = None
-    epsilon_used: float | None = None
-    admissible: bool | None = None
-    inside_count: int | None = None
-    principal_root: complex | None = None
+    __slots__ = (
+        "roots", "residual_max", "radius", "epsilon_used", "admissible", "inside_count",
+        "principal_root",
+    )
+
+    def __init__(
+        self,
+        roots: tuple[tuple[complex, int], ...],
+        residual_max: float,
+        radius: float | None = None,
+        epsilon_used: float | None = None,
+        admissible: bool | None = None,
+        inside_count: int | None = None,
+        principal_root: complex | None = None,
+    ):
+        self.roots = roots
+        self.residual_max = residual_max
+        self.radius = radius
+        self.epsilon_used = epsilon_used
+        self.admissible = admissible
+        self.inside_count = inside_count
+        self.principal_root = principal_root
 
 
 def build_char_polynomial(d: int, point: Sequence[complex]) -> CharPolynomial:
@@ -136,7 +149,7 @@ def roots_all(q: CharPolynomial, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> 
         raise DegenerateError(
             "polynomial is constant after deflation; no roots to find"
         )
-    import numpy as np  # here, so that commands which find no roots start without numpy
+    import numpy as np  # here, not at the top: see the module docstring
 
     try:
         # A tiny leading coefficient overflows the companion matrix, whose

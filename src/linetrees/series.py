@@ -23,9 +23,8 @@ the order is never formed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import add
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .combinatorics import ColorProfile, closed_form_count, profiles_with_total
 from .errors import DomainError
@@ -33,34 +32,42 @@ from .limits import check_colors
 from .verification import Mismatch, VerificationReport
 
 
-@dataclass(frozen=True)
 class MultiSeries:
     """Multivariate power series truncated by total degree.
 
     ``coeffs`` maps exponent tuples (p_1, ..., p_d) with sum <= order to
-    nonzero integers; absent keys are zero.  Instances are treated as
-    immutable; arithmetic returns new series truncated at the same order.
+    nonzero integers; absent keys are zero.  Series with equal d, order and
+    coefficients compare equal.  Instances are treated as immutable;
+    arithmetic returns new series truncated at the same order.
     """
 
-    d: int
-    order: int
-    coeffs: dict[tuple[int, ...], int] = field(default_factory=dict)
+    __slots__ = ("d", "order", "coeffs")
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise DomainError(f"need d >= 1 variables, got {self.d}")
-        if self.order < 0:
-            raise DomainError(f"order must be >= 0, got {self.order}")
+    def __init__(self, d: int, order: int, coeffs: dict[tuple[int, ...], int] | None = None):
+        if d < 1:
+            raise DomainError(f"need d >= 1 variables, got {d}")
+        if order < 0:
+            raise DomainError(f"order must be >= 0, got {order}")
         cleaned: dict[tuple[int, ...], int] = {}
-        for key, value in self.coeffs.items():
+        for key, value in (coeffs or {}).items():
             key = tuple(key)
-            if len(key) != self.d or any(e < 0 for e in key):
-                raise DomainError(f"bad exponent vector {key} for d={self.d}")
+            if len(key) != d or any(e < 0 for e in key):
+                raise DomainError(f"bad exponent vector {key} for d={d}")
             if not isinstance(value, int):
                 raise DomainError(f"coefficient at {key} is not an integer: {value!r}")
-            if value != 0 and sum(key) <= self.order:
+            if value != 0 and sum(key) <= order:
                 cleaned[key] = value
-        object.__setattr__(self, "coeffs", cleaned)
+        self.d = d
+        self.order = order
+        self.coeffs = cleaned
+
+    def __eq__(self, other):
+        if not isinstance(other, MultiSeries):
+            return NotImplemented
+        return (self.d, self.order, self.coeffs) == (other.d, other.order, other.coeffs)
+
+    def __repr__(self):
+        return f"MultiSeries({self.d}, {self.order}, {self.coeffs!r})"
 
     @classmethod
     def constant(cls, d: int, order: int, value: int = 1) -> "MultiSeries":
@@ -212,13 +219,16 @@ def closed_form_series(d: int, n: int, order: int) -> MultiSeries:
 
 
 def _collect_mismatches(
-    lhs: MultiSeries, rhs: MultiSeries, context: dict
-) -> Iterable[Mismatch]:
+    report: VerificationReport, lhs: MultiSeries, rhs: MultiSeries, context: dict
+) -> None:
+    """Compare every coefficient nonzero in either series; add the count to
+    ``report.compared`` and each difference to ``report.failures``."""
     keys = sorted(set(lhs.coeffs) | set(rhs.coeffs), key=lambda p: (sum(p), p))
+    report.compared += len(keys)
     for p in keys:
         a, b = lhs.coefficient(p), rhs.coefficient(p)
         if a != b:
-            yield Mismatch({**context, "p": list(p)}, a, b)
+            report.failures.append(Mismatch({**context, "p": list(p)}, a, b))
 
 
 def verify_linear_recursion(d: int, n_max: int, order: int) -> VerificationReport:
@@ -235,7 +245,7 @@ def verify_linear_recursion(d: int, n_max: int, order: int) -> VerificationRepor
         rhs = levels[n]
         for k in range(1, d + 1):
             rhs = rhs + elementary[k] * levels[n + k]
-        report.failures.extend(_collect_mismatches(levels[n + 1], rhs, {"n": n}))
+        _collect_mismatches(report, levels[n + 1], rhs, {"n": n})
     return report
 
 
@@ -251,7 +261,7 @@ def verify_geometric(d: int, n_max: int, order: int) -> VerificationReport:
         if n > 1:
             power = power * base
         direct = closed_form_series(d, n, order)
-        report.failures.extend(_collect_mismatches(direct, power, {"n": n}))
+        _collect_mismatches(report, direct, power, {"n": n})
     return report
 
 
@@ -264,5 +274,5 @@ def verify_convolution(d: int, n: int, m: int, order: int) -> VerificationReport
     product = closed_form_series(d, n, order) * closed_form_series(d, m, order)
     direct = closed_form_series(d, n + m, order)
     report = VerificationReport("convolution", d, {"n": n, "m": m, "order": order})
-    report.failures.extend(_collect_mismatches(product, direct, {}))
+    _collect_mismatches(report, product, direct, {})
     return report

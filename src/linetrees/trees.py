@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .combinatorics import ColorProfile, profiles_with_total
@@ -37,21 +36,31 @@ from .limits import check_colors
 MAX_DEPTH = 450
 
 
-@dataclass(frozen=True, slots=True)
 class ColoredTree:
     """Rooted tree whose edges carry integer colors.
 
     ``children`` holds (color, subtree) pairs; construction sorts them by
-    ascending color so structurally equal trees compare and hash equal.
-    Validity (distinct colors in range at every vertex) is not enforced
-    here; :func:`decode` checks it.
+    ascending color.  Trees compare and hash by their canonical encoding,
+    so structurally equal trees are equal, however deep.  Validity
+    (distinct colors in range at every vertex) is not enforced here;
+    :func:`decode` checks it.  Treat an instance as immutable.
     """
 
-    children: tuple[tuple[int, "ColoredTree"], ...] = field(default=())
+    __slots__ = ("children",)
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.children, key=lambda entry: entry[0]))
-        object.__setattr__(self, "children", ordered)
+    def __init__(self, children: tuple[tuple[int, ColoredTree], ...] = ()):
+        self.children = tuple(sorted(children, key=lambda entry: entry[0]))
+
+    def __eq__(self, other):
+        if not isinstance(other, ColoredTree):
+            return NotImplemented
+        return encode(self) == encode(other)
+
+    def __hash__(self):
+        return hash(encode(self))
+
+    def __repr__(self):
+        return f"<ColoredTree {encode(self)}>"
 
 
 def profile_counts(tree: ColoredTree, d: int) -> tuple[int, ...]:
@@ -70,9 +79,26 @@ def profile_counts(tree: ColoredTree, d: int) -> tuple[int, ...]:
 
 
 def encode(tree: ColoredTree) -> str:
-    """Canonical text form of a tree; children appear in ascending color order."""
-    entries = ",".join(f"{color}:{encode(child)}" for color, child in tree.children)
-    return f"({entries})"
+    """Canonical text form of a tree; children appear in ascending color order.
+
+    Iterative, so any depth encodes: the stack holds, last to be written
+    first, the subtrees still to write and the text between them.
+    """
+    out: list[str] = []
+    stack: list[ColoredTree | str] = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        out.append("(")
+        stack.append(")")
+        children = item.children
+        for i in range(len(children) - 1, -1, -1):
+            color, child = children[i]
+            stack.append(child)
+            stack.append(f",{color}:" if i else f"{color}:")
+    return "".join(out)
 
 
 def decode(text: str, d: int) -> ColoredTree:

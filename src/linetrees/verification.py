@@ -6,8 +6,6 @@ every failing coefficient so callers (tests, CLI) can decide how to react.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .combinatorics import (
     ColorProfile,
     closed_form_count,
@@ -16,16 +14,17 @@ from .combinatorics import (
     profiles_with_total,
 )
 from .errors import DomainError
-from .trees import count_by_profile_bruteforce
 
 
-@dataclass(frozen=True)
 class Mismatch:
     """One failing comparison: where it happened and both values."""
 
-    context: dict
-    lhs: int
-    rhs: int
+    __slots__ = ("context", "lhs", "rhs")
+
+    def __init__(self, context: dict, lhs: int, rhs: int):
+        self.context = context
+        self.lhs = lhs
+        self.rhs = rhs
 
     def to_json_obj(self) -> dict:
         # Big integers go out as decimal strings.
@@ -36,16 +35,24 @@ class Mismatch:
 MAX_REPORTED_FAILURES = 100
 
 
-@dataclass
 class VerificationReport:
-    kind: str
-    d: int
-    params: dict
-    failures: list[Mismatch] = field(default_factory=list)
+    """The outcome of one verifier: every failing comparison, and the number
+    of coefficients compared, failing or not.  A report that compared
+    nothing is not ``ok``: an identity checked on no coefficient shows
+    nothing."""
+
+    __slots__ = ("kind", "d", "params", "failures", "compared")
+
+    def __init__(self, kind: str, d: int, params: dict):
+        self.kind = kind
+        self.d = d
+        self.params = params
+        self.failures: list[Mismatch] = []
+        self.compared = 0
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return self.compared > 0 and not self.failures
 
     def to_json_obj(self) -> dict:
         return {
@@ -71,6 +78,7 @@ def verify_fuss_catalan_rows(d: int, p_max: int) -> VerificationReport:
             for p in profiles_with_total(d, p_vertices - 1)
         )
         expected = fuss_catalan_total(d, p_vertices)
+        report.compared += 1
         if row_sum != expected:
             report.failures.append(Mismatch({"P": p_vertices}, row_sum, expected))
     return report
@@ -88,6 +96,7 @@ def verify_narayana_bridge(max_total: int) -> VerificationReport:
         for p in profiles_with_total(2, total):
             lhs = closed_form_count(ColorProfile(2, p), 1)
             rhs = narayana(total + 1, p[0] + 1)
+            report.compared += 1
             if lhs != rhs:
                 report.failures.append(Mismatch({"p": list(p)}, lhs, rhs))
     return report
@@ -96,6 +105,8 @@ def verify_narayana_bridge(max_total: int) -> VerificationReport:
 def verify_oracle(d: int, max_total: int) -> VerificationReport:
     """Compare the brute-force enumeration tally with the closed form for
     every profile with total <= max_total."""
+    from .trees import count_by_profile_bruteforce
+
     tally = count_by_profile_bruteforce(d, max_total)
     report = VerificationReport("oracle", d, {"max_total": max_total})
     for total in range(max_total + 1):
@@ -103,6 +114,7 @@ def verify_oracle(d: int, max_total: int) -> VerificationReport:
             profile = ColorProfile(d, p)
             counted = tally.get(profile, 0)
             expected = closed_form_count(profile, 1)
+            report.compared += 1
             if counted != expected:
                 report.failures.append(Mismatch({"p": list(p)}, counted, expected))
     return report

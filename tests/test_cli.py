@@ -150,7 +150,7 @@ def test_tree_output_builds_no_tree_objects(capsys, monkeypatch, argv, fmt):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "linetrees" and hasattr(module, "encode"):
             monkeypatch.setattr(module, "encode", refuse)
-    monkeypatch.setattr(ColoredTree, "__post_init__", refuse)
+    monkeypatch.setattr(ColoredTree, "__init__", refuse)
     assert run(capsys, *argv, "--format", fmt) == expected
 
 
@@ -591,43 +591,66 @@ def test_enumerate_stream_stdout_matches_recorded_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Runs ``python -m linetrees.cli`` on the argv given as JSON, and prints the
+# exit code and the modules the run loaded, beyond those loaded at start-up.
 _STARTUP_PROBE = """
-import io, json, sys
+import io, json, runpy, sys
 from contextlib import redirect_stdout
 before = set(sys.modules)
-from linetrees import cli
-foreign = sorted(
-    name for name in set(sys.modules) - before
-    if name.partition(".")[0] not in sys.stdlib_module_names | {"linetrees"}
-)
-codes = []
+sys.argv = ["linetrees", *json.loads(sys.argv[1])]
 with redirect_stdout(io.StringIO()):
-    for argv in json.loads(sys.argv[1]):
-        codes.append(cli.main(argv))
-    exact_numpy = "numpy" in sys.modules
-    roots_code = cli.main(["roots", "--d", "2", "--g", "0.1,0.1"])
-print(json.dumps([foreign, codes, exact_numpy, roots_code, "numpy" in sys.modules]))
+    try:
+        runpy.run_module("linetrees.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
+
+# The package modules each command loads besides linetrees, errors and
+# limits, which every command loads.  ``-m`` runs linetrees.cli as __main__,
+# so it is not loaded under its own name.
+_STARTUP_MODULES = [
+    (["--version"], []),
+    (["count", "--d", "2", "--profile", "3,2"], ["combinatorics"]),
+    (["enumerate", "--d", "2", "--max-lines", "3"], ["combinatorics", "trees"]),
+    (["series", "--d", "2", "--order", "6"], ["combinatorics", "series", "verification"]),
+    (["series", "--d", "2", "--order", "6", "--n", "2"],
+     ["combinatorics", "series", "verification"]),
+    (["verify", "recursion", "--d", "2", "--order", "6"],
+     ["combinatorics", "series", "verification"]),
+    (["verify", "narayana", "--d", "2", "--order", "6"], ["combinatorics", "verification"]),
+    (["verify", "oracle", "--d", "2", "--order", "3"],
+     ["combinatorics", "trees", "verification"]),
+    (["sample", "--d", "3", "--profile", "1,1,1", "--count", "3"],
+     ["combinatorics", "counting"]),
+    (["roots", "--d", "2", "--g", "0.1,0.1"], ["roots"]),
+]
 
 
 def test_only_roots_loads_numpy():
-    """Importing the CLI loads only the standard library and the package, so
-    a fresh start pays for no numpy import; the exact-integer commands leave
-    numpy unloaded and the first root finding loads it."""
-    exact = [
-        ["count", "--d", "2", "--profile", "3,2"],
-        ["series", "--d", "2", "--order", "6"],
-        ["enumerate", "--d", "2", "--max-lines", "3"],
-        ["sample", "--d", "3", "--profile", "1,1,1", "--count", "3"],
-        ["verify", "recursion", "--d", "2", "--order", "6"],
-    ]
+    """A fresh ``python -m linetrees.cli`` loads only the package modules its
+    command runs, and besides them only the standard library; no command
+    loads dataclasses (nor inspect, which it imports), and only roots, the
+    one command that finds roots, loads numpy."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    result = subprocess.run(
-        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(exact)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    foreign, codes, exact_numpy, roots_code, roots_numpy = json.loads(result.stdout)
-    assert foreign == []
-    assert codes == [0] * len(exact)
-    assert not exact_numpy
-    assert roots_code == 0 and roots_numpy
+    for argv, engines in _STARTUP_MODULES:
+        result = subprocess.run(
+            [sys.executable, "-c", _STARTUP_PROBE, json.dumps(argv)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        code, loaded = json.loads(result.stdout)
+        assert code == 0, argv
+        package = {name for name in loaded if name.partition(".")[0] == "linetrees"}
+        assert package == {"linetrees", "linetrees.errors", "linetrees.limits"} | {
+            f"linetrees.{name}" for name in engines
+        }, argv
+        assert "dataclasses" not in loaded, argv
+        foreign = {
+            name.partition(".")[0] for name in loaded
+            if name.partition(".")[0] not in sys.stdlib_module_names | {"linetrees"}
+        }
+        if argv[0] == "roots":
+            assert foreign == {"numpy"}
+        else:
+            assert foreign == set(), argv
+            assert "inspect" not in loaded, argv

@@ -21,6 +21,7 @@ from linetrees.series import (
     _collect_mismatches,
 )
 from linetrees.trees import count_by_profile_bruteforce
+from linetrees.verification import VerificationReport
 
 
 def test_elementary_symmetric_d2():
@@ -157,11 +158,20 @@ def test_verify_convolution_passes():
 def test_collect_mismatches_detects_differences():
     a = MultiSeries(2, 2, {(1, 0): 1, (0, 1): 2})
     b = MultiSeries(2, 2, {(1, 0): 1, (0, 1): 3, (2, 0): 4})
-    found = list(_collect_mismatches(a, b, {"n": 0}))
-    assert [(m.context["p"], m.lhs, m.rhs) for m in found] == [
-        ([0, 1], 2, 3),
-        ([2, 0], 0, 4),
+    report = VerificationReport("test", 2, {})
+    _collect_mismatches(report, a, b, {"n": 0})
+    assert [(m.context, m.lhs, m.rhs) for m in report.failures] == [
+        ({"n": 0, "p": [0, 1]}, 2, 3),
+        ({"n": 0, "p": [2, 0]}, 0, 4),
     ]
+    assert report.compared == 3 and not report.ok
+
+
+def test_report_that_compared_nothing_is_not_ok():
+    report = VerificationReport("test", 2, {})
+    assert report.failures == [] and not report.ok
+    assert report.to_json_obj()["ok"] is False
+    assert verify_linear_recursion(2, 1, 0).compared == 2
 
 
 def neg(a):

@@ -122,6 +122,17 @@ def test_decode_rejects_nesting_deeper_than_max_depth():
         assert exc.value.offset == 3 * (MAX_DEPTH + 1)
 
 
+def test_chain_of_max_depth_round_trips():
+    """encode, == and hash work at the deepest nesting decode accepts; they
+    do not recurse, so the depth is not limited by Python's recursion."""
+    text = "(1:" * MAX_DEPTH + "()" + ")" * MAX_DEPTH
+    tree = decode(text, 2)
+    assert encode(tree) == text
+    built = chain(*[1] * MAX_DEPTH)
+    assert tree == built and hash(tree) == hash(built)
+    assert tree != chain(*[1] * (MAX_DEPTH - 1))
+
+
 @st.composite
 def colored_trees(draw, d=3, depth=3):
     if depth == 0:
