@@ -2,12 +2,14 @@
 and sampling, with json/csv/text output.
 
 Exit codes: 0 success, 1 verification found failures, 2 malformed input,
-3 a value above its cap, 4 numeric failure.  Counts are always emitted as
+3 a value above its cap, 4 numeric failure, 141 stdout closed by its reader.
+``main`` prints each ``LineTreesError`` as one ``error:`` line on stderr and
+exits with the error class's ``exit_code``.  Counts are always emitted as
 decimal strings; they outgrow 64-bit integers quickly.
 
-This is the one place the caps of ``limits.CAPS`` are applied: each handler
-checks its arguments before any work or output, and the library it calls is
-uncapped.
+This is the one place the caps of ``limits.CAPS`` are applied: ``main``
+checks the number of colors and each handler the rest of its arguments,
+before any work or output, and the library it calls is uncapped.
 
 A process loads only what its command runs: building the parser needs
 ``errors`` and ``limits`` alone, and each handler, and each runner of
@@ -19,23 +21,17 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import sys
 
 from . import __version__
-from .errors import (
-    BudgetExceeded,
-    DomainError,
-    IntegralityViolation,
-    LineTreesError,
-    RootFindingFailure,
-)
+from .errors import DomainError, LineTreesError
 from .limits import DEFAULT_RESIDUAL_TOL, check_cap, check_colors
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
-EXIT_USAGE = 2
-EXIT_BUDGET = 3
-EXIT_NUMERIC = 4
+# 128 + SIGPIPE, the status a shell gives a process that signal ended.
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_profile(text: str, d: int):
@@ -92,7 +88,7 @@ def _print_trees(encodings, fmt: str, **fields) -> None:
 def _run_count(args) -> int:
     from .combinatorics import closed_form_count
 
-    profile = _parse_profile(args.profile, check_colors(args.d))
+    profile = _parse_profile(args.profile, args.d)
     if args.n < 1:
         raise DomainError(f"--n must be >= 1, got {args.n}")
     check_cap("count profile total", profile.total)
@@ -113,16 +109,15 @@ def _run_count(args) -> int:
 def _run_enumerate(args) -> int:
     from .trees import enumerate_by_lines
 
-    d = check_colors(args.d)
-    check_cap("max_lines", args.max_lines, d)
-    _print_trees(enumerate_by_lines(d, args.max_lines), args.format)
+    check_cap("max_lines", args.max_lines, args.d)
+    _print_trees(enumerate_by_lines(args.d, args.max_lines), args.format)
     return EXIT_OK
 
 
 def _run_series(args) -> int:
     from .series import closed_form_series, solve_tree_equation
 
-    d = check_colors(args.d)
+    d = args.d
     check_cap("level", args.n)
     check_cap("order", args.order, d)
     if args.n == 1:
@@ -182,9 +177,7 @@ VERIFY_KINDS = {
 
 
 def _run_verify(args) -> int:
-    from .verification import MAX_REPORTED_FAILURES
-
-    d = check_colors(args.d)
+    d = args.d
     kind = args.kind
     report = VERIFY_KINDS[kind][1](d, args)
     doc = report.to_json_obj()
@@ -193,23 +186,20 @@ def _run_verify(args) -> int:
     elif args.format == "csv":
         _csv_out(
             ["context", "lhs", "rhs"],
-            [
-                [json.dumps(f.context), str(f.lhs), str(f.rhs)]
-                for f in report.failures[:MAX_REPORTED_FAILURES]
-            ],
+            [[json.dumps(context), str(lhs), str(rhs)] for context, lhs, rhs in report.failures],
         )
     else:
-        status = "ok" if report.ok else f"FAILED ({len(report.failures)} mismatches)"
+        status = "ok" if report.ok else f"FAILED ({report.failure_count} mismatches)"
         print(f"verify {kind} d={d}: {status}")
-        for failure in report.failures[:MAX_REPORTED_FAILURES]:
-            print(f"  {failure.context}: {failure.lhs} != {failure.rhs}")
+        for context, lhs, rhs in report.failures:
+            print(f"  {context}: {lhs} != {rhs}")
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
 def _run_roots(args) -> int:
     from .roots import build_char_polynomial, rouche_isolation_check
 
-    d = check_colors(args.d)
+    d = args.d
     point = _parse_point(args.g, d)
     q = build_char_polynomial(d, point)
     report = rouche_isolation_check(q, args.radius, args.residual_tol)
@@ -244,7 +234,7 @@ def _run_roots(args) -> int:
 def _run_sample(args) -> int:
     from .counting import ProfileCountTable, SampleRequest
 
-    d = check_colors(args.d)
+    d = args.d
     profile = _parse_profile(args.profile, d)
     check_cap("sample count", args.count)
     request = SampleRequest(profile, args.count, args.seed)
@@ -316,19 +306,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (RootFindingFailure, IntegralityViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        check_colors(args.d)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Point stdout at devnull so
+        # that the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except LineTreesError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.exit_code
 
 
 if __name__ == "__main__":

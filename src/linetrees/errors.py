@@ -3,6 +3,7 @@
 
 class LineTreesError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 2  # the command line's exit status: malformed input
 
 
 class DomainError(LineTreesError):
@@ -12,6 +13,7 @@ class DomainError(LineTreesError):
 class IntegralityViolation(LineTreesError):
     """An exact division left a remainder. Counting formulas divide last and
     assert divisibility, so this signals an implementation bug."""
+    exit_code = 4
 
 
 class ParseError(LineTreesError):
@@ -32,6 +34,7 @@ class ColorOrderError(ColorError):
 
 class BudgetExceeded(LineTreesError):
     """A CLI input exceeds a cap of the limits table."""
+    exit_code = 3
 
 
 class IndexOutOfRange(LineTreesError):
@@ -40,6 +43,7 @@ class IndexOutOfRange(LineTreesError):
 
 class RootFindingFailure(LineTreesError):
     """Root residuals could not be brought under the requested tolerance."""
+    exit_code = 4
 
     def __init__(self, message: str, best_residual: float):
         super().__init__(message)

@@ -11,9 +11,10 @@ and that root is F(g): the unique branch tending to 1 as g -> 0.
 
 This module is deliberately the only floating-point one in the package:
 roots come from the companion matrix (numpy.roots) under an explicit
-residual contract, exact zeros in the leading coefficients are deflated
-before root finding, and near-coincident roots are merged into one root
-with multiplicity within a documented clustering radius.
+residual contract, with Newton steps on Q for a root that misses it;
+exact zeros in the leading coefficients are deflated before root finding,
+and near-coincident roots are merged into one root with multiplicity
+within a documented clustering radius.
 
 numpy is imported on the first root-finding call, not with this module:
 importing numpy (about 0.1 s) costs more than building a polynomial, and
@@ -31,6 +32,10 @@ from .limits import DEFAULT_RESIDUAL_TOL, check_colors
 
 # Roots closer than this are reported as one root with multiplicity.
 CLUSTER_RADIUS = 1e-7
+
+# Newton steps on Q that ``roots_all`` may spend on a root failing its
+# backward-error bound.
+POLISH_STEPS = 3
 
 
 class CharPolynomial:
@@ -129,6 +134,27 @@ def _cluster(roots: Sequence[complex], radius: float = CLUSTER_RADIUS) -> list[t
     ]
 
 
+def _polish(coeffs: Sequence[complex], r: complex, residual_tol: float) -> complex:
+    """``r`` after at most POLISH_STEPS Newton steps on the polynomial with
+    ``coeffs``, stopping as soon as |Q(r)| meets the backward-error bound of
+    ``roots_all`` (Press et al., Numerical Recipes, ``zroots``); a root that
+    meets it comes back unchanged."""
+    for _ in range(POLISH_STEPS):
+        value = slope = 0j
+        scale = 0.0
+        for c in reversed(coeffs):
+            slope = slope * r + value
+            value = value * r + c
+            scale = scale * abs(r) + abs(c)
+        if abs(value) <= residual_tol * scale or slope == 0:
+            break
+        step = value / slope
+        if not cmath.isfinite(step):
+            break
+        r -= step
+    return r
+
+
 def roots_all(q: CharPolynomial, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> RootReport:
     """All complex roots of the deflated polynomial, via the companion matrix.
 
@@ -137,8 +163,12 @@ def roots_all(q: CharPolynomial, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> 
     a polynomial whose coefficients differ from Q's by a relative
     ``residual_tol`` at most.  The bound grows with |r|, so the large roots
     that appear when some |g_i| is near 0 are judged on the same footing
-    as the small ones.  Otherwise RootFindingFailure carries the largest
-    residual |Q(r)|, which the report also gives as ``residual_max``.
+    as the small ones.  A root that fails the bound first gets up to
+    POLISH_STEPS Newton steps on Q; the companion matrix loses accuracy on
+    the small roots when a leading coefficient is tiny, and Newton's method
+    restores it.  A root that still fails it raises RootFindingFailure,
+    which carries the largest residual |Q(r)|, also given in the report as
+    ``residual_max``.
     A root or a residual that overflows floating point also raises
     RootFindingFailure.  ``residual_tol`` must be finite and >= 0.
     """
@@ -161,11 +191,12 @@ def roots_all(q: CharPolynomial, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> 
             f"the roots overflow floating point ({exc})", best_residual=math.inf
         )
     found = [complex(r) for r in raw]
-    residuals = [abs(q(r)) for r in found]
-    if not all(math.isfinite(residual) for residual in residuals):
+    if not all(math.isfinite(abs(q(r))) for r in found):
         raise RootFindingFailure(
             "the residual |Q(r)| at a root overflows floating point", best_residual=math.inf
         )
+    found = [_polish(coeffs, r, residual_tol) for r in found]
+    residuals = [abs(q(r)) for r in found]
     residual_max = max(residuals, default=0.0)
     for r, residual in zip(found, residuals):
         # Horner form: |r|**k alone overflows for large roots of tiny |c_k|.

@@ -29,7 +29,7 @@ from typing import Sequence
 from .combinatorics import ColorProfile, closed_form_count, profiles_with_total
 from .errors import DomainError
 from .limits import check_colors
-from .verification import Mismatch, VerificationReport
+from .verification import VerificationReport
 
 
 class MultiSeries:
@@ -221,14 +221,9 @@ def closed_form_series(d: int, n: int, order: int) -> MultiSeries:
 def _collect_mismatches(
     report: VerificationReport, lhs: MultiSeries, rhs: MultiSeries, context: dict
 ) -> None:
-    """Compare every coefficient nonzero in either series; add the count to
-    ``report.compared`` and each difference to ``report.failures``."""
-    keys = sorted(set(lhs.coeffs) | set(rhs.coeffs), key=lambda p: (sum(p), p))
-    report.compared += len(keys)
-    for p in keys:
-        a, b = lhs.coefficient(p), rhs.coefficient(p)
-        if a != b:
-            report.failures.append(Mismatch({**context, "p": list(p)}, a, b))
+    """Check every coefficient nonzero in either series on ``report``."""
+    for p in sorted(set(lhs.coeffs) | set(rhs.coeffs), key=lambda p: (sum(p), p)):
+        report.check({**context, "p": list(p)}, lhs.coefficient(p), rhs.coefficient(p))
 
 
 def verify_linear_recursion(d: int, n_max: int, order: int) -> VerificationReport:

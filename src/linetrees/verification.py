@@ -1,6 +1,6 @@
 """Verification reports and cross-module identity checks.
 
-A verifier never raises on a failed identity; it returns a report listing
+A verifier never raises on a failed identity; it returns a report counting
 every failing coefficient so callers (tests, CLI) can decide how to react.
 """
 
@@ -16,43 +16,38 @@ from .combinatorics import (
 from .errors import DomainError
 
 
-class Mismatch:
-    """One failing comparison: where it happened and both values."""
-
-    __slots__ = ("context", "lhs", "rhs")
-
-    def __init__(self, context: dict, lhs: int, rhs: int):
-        self.context = context
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def to_json_obj(self) -> dict:
-        # Big integers go out as decimal strings.
-        return {**self.context, "lhs": str(self.lhs), "rhs": str(self.rhs)}
-
-
 # Failures a report lists; ``failure_count`` still counts them all.
 MAX_REPORTED_FAILURES = 100
 
 
 class VerificationReport:
-    """The outcome of one verifier: every failing comparison, and the number
-    of coefficients compared, failing or not.  A report that compared
-    nothing is not ``ok``: an identity checked on no coefficient shows
-    nothing."""
+    """The outcome of one verifier: the number of comparisons made and of
+    those that failed, and the first ``MAX_REPORTED_FAILURES`` failures as
+    ``(context, lhs, rhs)`` tuples.  A report that compared nothing is not
+    ``ok``: an identity checked on no coefficient shows nothing."""
 
-    __slots__ = ("kind", "d", "params", "failures", "compared")
+    __slots__ = ("kind", "d", "params", "failures", "failure_count", "compared")
 
     def __init__(self, kind: str, d: int, params: dict):
         self.kind = kind
         self.d = d
         self.params = params
-        self.failures: list[Mismatch] = []
+        self.failures: list[tuple[dict, int, int]] = []
+        self.failure_count = 0
         self.compared = 0
+
+    def check(self, context: dict, lhs: int, rhs: int) -> None:
+        """Count one comparison of ``lhs`` with ``rhs``; a difference is
+        counted, and kept while fewer than MAX_REPORTED_FAILURES are."""
+        self.compared += 1
+        if lhs != rhs:
+            self.failure_count += 1
+            if len(self.failures) < MAX_REPORTED_FAILURES:
+                self.failures.append((context, lhs, rhs))
 
     @property
     def ok(self) -> bool:
-        return self.compared > 0 and not self.failures
+        return self.compared > 0 and self.failure_count == 0
 
     def to_json_obj(self) -> dict:
         return {
@@ -60,8 +55,12 @@ class VerificationReport:
             "d": self.d,
             "params": self.params,
             "ok": self.ok,
-            "failure_count": len(self.failures),
-            "failures": [f.to_json_obj() for f in self.failures[:MAX_REPORTED_FAILURES]],
+            "failure_count": self.failure_count,
+            # Big integers go out as decimal strings.
+            "failures": [
+                {**context, "lhs": str(lhs), "rhs": str(rhs)}
+                for context, lhs, rhs in self.failures
+            ],
         }
 
 
@@ -77,10 +76,7 @@ def verify_fuss_catalan_rows(d: int, p_max: int) -> VerificationReport:
             closed_form_count(ColorProfile(d, p), 1)
             for p in profiles_with_total(d, p_vertices - 1)
         )
-        expected = fuss_catalan_total(d, p_vertices)
-        report.compared += 1
-        if row_sum != expected:
-            report.failures.append(Mismatch({"P": p_vertices}, row_sum, expected))
+        report.check({"P": p_vertices}, row_sum, fuss_catalan_total(d, p_vertices))
     return report
 
 
@@ -94,11 +90,11 @@ def verify_narayana_bridge(max_total: int) -> VerificationReport:
     report = VerificationReport("narayana", 2, {"max_total": max_total})
     for total in range(max_total + 1):
         for p in profiles_with_total(2, total):
-            lhs = closed_form_count(ColorProfile(2, p), 1)
-            rhs = narayana(total + 1, p[0] + 1)
-            report.compared += 1
-            if lhs != rhs:
-                report.failures.append(Mismatch({"p": list(p)}, lhs, rhs))
+            report.check(
+                {"p": list(p)},
+                closed_form_count(ColorProfile(2, p), 1),
+                narayana(total + 1, p[0] + 1),
+            )
     return report
 
 
@@ -112,9 +108,5 @@ def verify_oracle(d: int, max_total: int) -> VerificationReport:
     for total in range(max_total + 1):
         for p in profiles_with_total(d, total):
             profile = ColorProfile(d, p)
-            counted = tally.get(profile, 0)
-            expected = closed_form_count(profile, 1)
-            report.compared += 1
-            if counted != expected:
-                report.failures.append(Mismatch({"p": list(p)}, counted, expected))
+            report.check({"p": list(p)}, tally.get(profile, 0), closed_form_count(profile, 1))
     return report

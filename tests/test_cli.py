@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from linetrees.cli import VERIFY_KINDS, _build_parser, main
 from linetrees.combinatorics import ColorProfile
 from linetrees.counting import ProfileCountTable, SampleRequest
+from linetrees.roots import build_char_polynomial
 from linetrees.trees import ColoredTree, decode, enumerate_by_lines
 
 
@@ -65,6 +67,23 @@ def test_count_malformed_profile_exits_2(capsys):
 def test_d_out_of_range_exits_2(capsys):
     assert run(capsys, "count", "--d", "1", "--profile", "1")[0] == 2
     assert run(capsys, "count", "--d", "9", "--profile", "0,0,0,0,0,0,0,0,0")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--d", "1", "--profile", "x"),
+        ("enumerate", "--d", "9", "--max-lines", "99"),
+        ("series", "--d", "0", "--order", "99"),
+        ("verify", "narayana", "--d", "9", "--order", "-1"),
+        ("roots", "--d", "1", "--g", "0.1,oops"),
+        ("sample", "--d", "9", "--profile", "1", "--count", "99999"),
+    ],
+)
+def test_colors_are_checked_before_other_arguments(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: d must be an integer in 2..8") and err.count("\n") == 1
 
 
 def test_enumerate_text(capsys):
@@ -212,6 +231,31 @@ def test_verify_kinds_pass(capsys, argv):
     assert doc["failures"] == []
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_failing_verify_lists_the_first_100_failures(capsys, monkeypatch, fmt):
+    """With ``narayana`` off by one, each of the 231 profiles of total <= 20
+    fails; the output counts them all and lists the first 100."""
+    from linetrees import verification
+
+    right = verification.narayana
+    monkeypatch.setattr(verification, "narayana", lambda n, k: right(n, k) + 1)
+    code, out, _ = run(capsys, "verify", "narayana", "--d", "2", "--order", "20", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["ok"] is False and doc["failure_count"] == 231
+        assert len(doc["failures"]) == 100
+        assert doc["failures"][0] == {"p": [0, 0], "lhs": "1", "rhs": "2"}
+    elif fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["context", "lhs", "rhs"] and len(rows) == 101
+        assert rows[1] == ['{"p": [0, 0]}', "1", "2"]
+    else:
+        lines = out.splitlines()
+        assert lines[0] == "verify narayana d=2: FAILED (231 mismatches)"
+        assert len(lines) == 101 and lines[1] == "  {'p': [0, 0]}: 1 != 2"
+
+
 def test_verify_narayana_wrong_d_exits_2(capsys):
     assert run(capsys, "verify", "narayana", "--d", "3", "--order", "4")[0] == 2
 
@@ -299,6 +343,55 @@ def test_roots_near_underflow_coordinate_ends_without_traceback(capsys, g, code)
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _roots_meet_their_bounds(g: list[float], doc: dict) -> None:
+    """Each reported root r meets |Q(r)| <= 1e-10 * sum_k |c_k| |r|^k, and
+    the roots, with their multiplicities, rebuild each coefficient of Q
+    within 1e-8 of the same coefficient of |c_d| prod (X + |r|).  A root
+    that stood in for another would miss by far more; roots that each meet
+    the 1e-10 bound can still miss by about 1e-9 together."""
+    q = build_char_polynomial(len(g), g).coefficients
+    roots = [complex(r["re"], r["im"]) for r in doc["roots"] for _ in range(r["mult"])]
+    for root in roots:
+        assert abs(sum(c * root**k for k, c in enumerate(q))) <= 1e-10 * sum(
+            abs(c) * abs(root) ** k for k, c in enumerate(q)
+        )
+    rebuilt, bounds = [q[-1]], [abs(q[-1])]
+    for r in roots:
+        rebuilt = [a - r * b for a, b in zip([0j] + rebuilt, rebuilt + [0j])]
+        bounds = [a + abs(r) * b for a, b in zip([0.0] + bounds, bounds + [0.0])]
+    assert len(rebuilt) == len(q)
+    for got, want, bound in zip(rebuilt, q, bounds):
+        assert abs(got - want) <= 1e-8 * bound
+
+
+def test_roots_polishes_roots_the_companion_matrix_leaves_inexact(capsys):
+    # e_8 is about 1e-40, so the companion matrix misplaces the small roots
+    # by about 1e-3 relative; Newton steps on Q bring them under the bound.
+    g = "0.04,0.04,0.04,0.04,0.04,0.04,0.04,1e-30"
+    code, out, err = run(capsys, "roots", "--d", "8", f"--g={g}")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["admissible"] is True and doc["inside_count"] == 1
+    _roots_meet_their_bounds([float(x) for x in g.split(",")], doc)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-16, 1e-20])
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_roots_at_admissible_points_with_a_tiny_coordinate(capsys, d, scale):
+    """Admissible points at R=2 with one |g_i| scaled far down exit 0, with
+    one root inside R and every root meeting its bound."""
+    rng = random.Random(f"{d}-{scale}")
+    epsilon = (2.0 ** (1.0 / d) - 1.0) / 2.0
+    for _ in range(100):
+        g = [rng.uniform(-0.9, 0.9) * epsilon for _ in range(d)]
+        g[rng.randrange(d)] *= scale
+        code, out, err = run(capsys, "roots", "--d", str(d), "--g=" + ",".join(map(repr, g)))
+        assert (code, err) == (0, ""), g
+        doc = json.loads(out)
+        assert doc["admissible"] is True and doc["inside_count"] == 1, g
+        _roots_meet_their_bounds(g, doc)
+
+
 def test_roots_bad_point_exits_2(capsys):
     assert run(capsys, "roots", "--d", "2", "--g", "0.1")[0] == 2
     assert run(capsys, "roots", "--d", "2", "--g", "0.1,oops")[0] == 2
@@ -341,6 +434,29 @@ def test_sample_seed_changes_output(capsys):
 def test_sample_over_cap_exits_3(capsys):
     code, _, _ = run(capsys, "sample", "--d", "3", "--profile", "8,8,8", "--count", "1")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--d", "3", "--max-lines", "8", "--format", "text"],
+        ["sample", "--d", "2", "--profile", "15,15", "--count", "2000"],
+    ],
+)
+def test_closed_stdout_exits_141_without_traceback(argv):
+    """A reader that closes the pipe after one line (``| head -1``) ends the
+    command with 128 + SIGPIPE and nothing on stderr.  Each output is far
+    larger than a pipe holds, so the command is still writing."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "linetrees.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 def test_missing_subcommand_exits_2():

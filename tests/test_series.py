@@ -21,7 +21,7 @@ from linetrees.series import (
     _collect_mismatches,
 )
 from linetrees.trees import count_by_profile_bruteforce
-from linetrees.verification import VerificationReport
+from linetrees.verification import MAX_REPORTED_FAILURES, VerificationReport
 
 
 def test_elementary_symmetric_d2():
@@ -160,7 +160,7 @@ def test_collect_mismatches_detects_differences():
     b = MultiSeries(2, 2, {(1, 0): 1, (0, 1): 3, (2, 0): 4})
     report = VerificationReport("test", 2, {})
     _collect_mismatches(report, a, b, {"n": 0})
-    assert [(m.context, m.lhs, m.rhs) for m in report.failures] == [
+    assert report.failures == [
         ({"n": 0, "p": [0, 1]}, 2, 3),
         ({"n": 0, "p": [2, 0]}, 0, 4),
     ]
@@ -172,6 +172,18 @@ def test_report_that_compared_nothing_is_not_ok():
     assert report.failures == [] and not report.ok
     assert report.to_json_obj()["ok"] is False
     assert verify_linear_recursion(2, 1, 0).compared == 2
+
+
+def test_report_counts_every_failure_and_keeps_the_first_100():
+    report = VerificationReport("test", 2, {})
+    for i in range(250):
+        report.check({"i": i}, i, i + (i % 2))
+    assert report.compared == 250 and report.failure_count == 125
+    assert report.failures == [({"i": i}, i, i + 1) for i in range(1, 201, 2)]
+    doc = report.to_json_obj()
+    assert doc["ok"] is False and doc["failure_count"] == 125
+    assert doc["failures"][0] == {"i": 1, "lhs": "1", "rhs": "2"}
+    assert len(doc["failures"]) == MAX_REPORTED_FAILURES == 100
 
 
 def neg(a):
