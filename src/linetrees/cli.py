@@ -44,14 +44,11 @@ def _parse_profile(text: str, d: int):
     return ColorProfile(d, counts)
 
 
-def _parse_point(text: str, d: int) -> list[float]:
+def _parse_point(text: str) -> list[float]:
     try:
-        values = [float(part) for part in text.split(",")]
+        return [float(part) for part in text.split(",")]
     except ValueError:
         raise DomainError(f"malformed point {text!r}; expected comma-separated reals")
-    if len(values) != d:
-        raise DomainError(f"point has {len(values)} entries but d={d}")
-    return values
 
 
 def _print_json(doc) -> None:
@@ -200,7 +197,7 @@ def _run_roots(args) -> int:
     from .roots import build_char_polynomial, rouche_isolation_check
 
     d = args.d
-    point = _parse_point(args.g, d)
+    point = _parse_point(args.g)
     q = build_char_polynomial(d, point)
     report = rouche_isolation_check(q, args.radius, args.residual_tol)
     principal = report.principal_root
@@ -306,12 +303,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        check_colors(args.d)
-        status = args.handler(args)
-        sys.stdout.flush()
-        return status
+        try:
+            # --version and --help print here and raise SystemExit.
+            args = _build_parser().parse_args(argv)
+            check_colors(args.d)
+            return args.handler(args)
+        finally:
+            sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout (``| head``).  Point stdout at devnull so
         # that the flush at interpreter exit cannot raise again.

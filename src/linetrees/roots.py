@@ -50,10 +50,7 @@ class CharPolynomial:
         self.coefficients = coefficients
 
     def __call__(self, x: complex) -> complex:
-        value = 0j
-        for c in reversed(self.coefficients):
-            value = value * x + c
-        return value
+        return _horner(self.coefficients, x)[0]
 
     @property
     def effective_degree(self) -> int:
@@ -69,8 +66,8 @@ class CharPolynomial:
 
 
 class RootReport:
-    """Roots with multiplicities plus optional isolation diagnostics.  Treat
-    an instance as immutable."""
+    """Roots with multiplicities and the isolation diagnostics at a radius.
+    Treat an instance as immutable."""
 
     __slots__ = (
         "roots", "residual_max", "radius", "epsilon_used", "admissible", "inside_count",
@@ -81,11 +78,11 @@ class RootReport:
         self,
         roots: tuple[tuple[complex, int], ...],
         residual_max: float,
-        radius: float | None = None,
-        epsilon_used: float | None = None,
-        admissible: bool | None = None,
-        inside_count: int | None = None,
-        principal_root: complex | None = None,
+        radius: float,
+        epsilon_used: float,
+        admissible: bool,
+        inside_count: int,
+        principal_root: complex | None,
     ):
         self.roots = roots
         self.residual_max = residual_max
@@ -102,7 +99,7 @@ def build_char_polynomial(d: int, point: Sequence[complex]) -> CharPolynomial:
     check_colors(d)
     gs = tuple(complex(g) for g in point)
     if len(gs) != d:
-        raise DomainError(f"point has {len(gs)} entries, expected d={d}")
+        raise DomainError(f"point has {len(gs)} entries but d={d}")
     if not all(cmath.isfinite(g) for g in gs):
         raise DomainError(f"point entries must be finite, got {point}")
     elementary: list[complex] = [1 + 0j]
@@ -117,13 +114,25 @@ def build_char_polynomial(d: int, point: Sequence[complex]) -> CharPolynomial:
     return CharPolynomial(d, gs, tuple(elementary))
 
 
-def _cluster(roots: Sequence[complex], radius: float = CLUSTER_RADIUS) -> list[tuple[complex, int]]:
-    """Greedy merge of near-coincident roots into (centroid, multiplicity)."""
+def _horner(coeffs: Sequence[complex], r: complex) -> tuple[complex, complex, float]:
+    """Q(r), Q'(r) and the scale sum_k |c_k| |r|^k for ``coeffs``, in one Horner
+    pass, in which no |r|**k overflows alone for a large root of tiny |c_k|."""
+    value = slope = 0j
+    scale = 0.0
+    for c in reversed(coeffs):
+        slope = slope * r + value
+        value = value * r + c
+        scale = scale * abs(r) + abs(c)
+    return value, slope, scale
+
+
+def _cluster(roots: Sequence[complex]) -> list[tuple[complex, int]]:
+    """Greedy merge of roots within CLUSTER_RADIUS into (centroid, multiplicity)."""
     clusters: list[list[complex]] = []
     for r in sorted(roots, key=lambda z: (abs(z), z.real, z.imag)):
         for members in clusters:
             center = sum(members) / len(members)
-            if abs(r - center) <= radius:
+            if abs(r - center) <= CLUSTER_RADIUS:
                 members.append(r)
                 break
         else:
@@ -134,43 +143,25 @@ def _cluster(roots: Sequence[complex], radius: float = CLUSTER_RADIUS) -> list[t
     ]
 
 
-def _polish(coeffs: Sequence[complex], r: complex, residual_tol: float) -> complex:
-    """``r`` after at most POLISH_STEPS Newton steps on the polynomial with
-    ``coeffs``, stopping as soon as |Q(r)| meets the backward-error bound of
-    ``roots_all`` (Press et al., Numerical Recipes, ``zroots``); a root that
-    meets it comes back unchanged."""
-    for _ in range(POLISH_STEPS):
-        value = slope = 0j
-        scale = 0.0
-        for c in reversed(coeffs):
-            slope = slope * r + value
-            value = value * r + c
-            scale = scale * abs(r) + abs(c)
-        if abs(value) <= residual_tol * scale or slope == 0:
-            break
-        step = value / slope
-        if not cmath.isfinite(step):
-            break
-        r -= step
-    return r
-
-
-def roots_all(q: CharPolynomial, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> RootReport:
-    """All complex roots of the deflated polynomial, via the companion matrix.
+def roots_all(
+    q: CharPolynomial, residual_tol: float = DEFAULT_RESIDUAL_TOL
+) -> tuple[tuple[tuple[complex, int], ...], float]:
+    """``(roots, residual_max)``: the roots of the deflated polynomial with
+    their multiplicities, via the companion matrix, and the largest |Q(r)|.
 
     Every reported root r must have a small backward error,
     |Q(r)| <= residual_tol * sum_k |c_k| |r|^k: r is then an exact root of
     a polynomial whose coefficients differ from Q's by a relative
     ``residual_tol`` at most.  The bound grows with |r|, so the large roots
     that appear when some |g_i| is near 0 are judged on the same footing
-    as the small ones.  A root that fails the bound first gets up to
-    POLISH_STEPS Newton steps on Q; the companion matrix loses accuracy on
-    the small roots when a leading coefficient is tiny, and Newton's method
-    restores it.  A root that still fails it raises RootFindingFailure,
-    which carries the largest residual |Q(r)|, also given in the report as
-    ``residual_max``.
-    A root or a residual that overflows floating point also raises
-    RootFindingFailure.  ``residual_tol`` must be finite and >= 0.
+    as the small ones.  A root takes Newton steps on Q while it fails the
+    bound, at most POLISH_STEPS of them (Press et al., Numerical Recipes,
+    ``zroots``): the companion matrix loses accuracy on the small roots when
+    a leading coefficient is tiny, and Newton's method restores it.  A root
+    that still fails it raises RootFindingFailure, which carries
+    ``residual_max``.  A root or a residual that overflows floating point
+    also raises RootFindingFailure.  ``residual_tol`` must be finite and
+    >= 0.
     """
     if not 0 <= residual_tol < math.inf:
         raise DomainError(f"residual_tol must be finite and >= 0, got {residual_tol}")
@@ -191,24 +182,28 @@ def roots_all(q: CharPolynomial, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> 
             f"the roots overflow floating point ({exc})", best_residual=math.inf
         )
     found = [complex(r) for r in raw]
-    if not all(math.isfinite(abs(q(r))) for r in found):
+    if not all(math.isfinite(abs(_horner(coeffs, r)[0])) for r in found):
         raise RootFindingFailure(
             "the residual |Q(r)| at a root overflows floating point", best_residual=math.inf
         )
-    found = [_polish(coeffs, r, residual_tol) for r in found]
-    residuals = [abs(q(r)) for r in found]
-    residual_max = max(residuals, default=0.0)
-    for r, residual in zip(found, residuals):
-        # Horner form: |r|**k alone overflows for large roots of tiny |c_k|.
-        scale = 0.0
-        for c in reversed(coeffs):
-            scale = scale * abs(r) + abs(c)
-        if not residual <= residual_tol * scale:
-            raise RootFindingFailure(
-                f"root residual {residual:.3e} exceeds {residual_tol:.1e} * {scale:.3e}",
-                best_residual=residual_max,
-            )
-    return RootReport(roots=tuple(_cluster(found)), residual_max=residual_max)
+    polished, residuals, failures = [], [], []
+    for r in found:
+        for steps_left in range(POLISH_STEPS, -1, -1):
+            value, slope, scale = _horner(coeffs, r)
+            if abs(value) <= residual_tol * scale:
+                break
+            if not steps_left or slope == 0 or not cmath.isfinite(value / slope):
+                failures.append(
+                    f"root residual {abs(value):.3e} exceeds {residual_tol:.1e} * {scale:.3e}"
+                )
+                break
+            r -= value / slope
+        polished.append(r)
+        residuals.append(abs(value))
+    residual_max = max(residuals)
+    if failures:
+        raise RootFindingFailure(failures[0], best_residual=residual_max)
+    return tuple(_cluster(polished)), residual_max
 
 
 def rouche_isolation_check(
@@ -225,18 +220,17 @@ def rouche_isolation_check(
         raise DomainError(f"radius must be finite and exceed 1, got {radius}")
     epsilon = (radius ** (1.0 / q.d) - 1.0) / radius
     admissible = max(abs(g) for g in q.point) < epsilon
-    base = roots_all(q, residual_tol)
-    inside = [(r, mult) for r, mult in base.roots if abs(r) < radius]
+    roots, residual_max = roots_all(q, residual_tol)
+    inside = [(r, mult) for r, mult in roots if abs(r) < radius]
     inside_count = sum(mult for _, mult in inside)
-    principal = inside[0][0] if inside_count == 1 else None
     return RootReport(
-        roots=base.roots,
-        residual_max=base.residual_max,
+        roots=roots,
+        residual_max=residual_max,
         radius=radius,
         epsilon_used=epsilon,
         admissible=admissible,
         inside_count=inside_count,
-        principal_root=principal,
+        principal_root=inside[0][0] if inside_count == 1 else None,
     )
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -305,6 +306,22 @@ def test_roots_zero_residual_tol_exits_4(capsys):
     assert "residual" in err
 
 
+@pytest.mark.parametrize(
+    "argv,pattern",
+    [
+        (["--d", "2", "--g", "0.1,0.1", "--residual-tol", "0"],
+         r"error: root residual \S+ exceeds 0\.0e\+00 \* \S+"),
+        (["--d", "2", "--g=1e-200,1e-120"], r"error: the roots overflow floating point \(.+\)"),
+        (["--d", "8", "--g=0.05,0.05,0.05,0.05,0.05,0.05,0.05,1e-250"],
+         r"error: the residual \|Q\(r\)\| at a root overflows floating point"),
+    ],
+)
+def test_roots_numeric_failure_message(capsys, argv, pattern):
+    code, out, err = run(capsys, "roots", *argv)
+    assert (code, out) == (4, "")
+    assert re.fullmatch(pattern + "\n", err), err
+
+
 def test_roots_accepts_large_roots_by_their_backward_error(capsys):
     # |g_3| is near 0, so Q has a root near -672; its residual 2.1e-10 is
     # above 1e-10 * max|c_k| but far below 1e-10 * sum_k |c_k| |r|^k.
@@ -457,6 +474,27 @@ def test_closed_stdout_exits_141_without_traceback(argv):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=120), err) == (141, b"")
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["sample", "--help"]])
+def test_stdout_closed_before_any_output_exits_141(argv):
+    """Output that fits in the stdout buffer fails only when it is flushed:
+    with the read end of the pipe closed before the command starts,
+    ``--version`` and ``--help`` end with 128 + SIGPIPE and nothing on
+    stderr too.  Unbuffered stdout is turned off, because argparse drops a
+    write error itself and would exit 0."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "linetrees.cli", *argv],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_missing_subcommand_exits_2():
@@ -672,39 +710,45 @@ def test_fuzz_main_exits_with_a_documented_code(argv):
             json.loads(line)
 
 
-def _recorded_digests(workloads, prefix=""):
-    """(argv, sha256 of stdout) of the jobs the benchmark records for
-    ``workloads`` whose argv starts with ``prefix``."""
-    record = json.loads((Path(__file__).parents[1] / "bench" / "record.json").read_text())
-    return [
+_RECORDED_DIGESTS = json.loads(
+    (Path(__file__).parents[1] / "bench" / "record.json").read_text()
+)["digests"]
+
+
+def _recorded_digest_test(select):
+    """A test, parametrized over the seed-0 jobs of ``bench/record.json`` that
+    ``select(workload, argv)`` picks, that each job exits 0 and prints stdout
+    with the recorded sha256.  ``roots`` jobs are left out: the last bits of
+    ``np.roots`` depend on the LAPACK build, so another machine may print
+    other digits; the benchmark checks their digests on its own host."""
+    cases = [
         (argv, digest)
-        for workload in workloads
-        for argv, digest in record["digests"][workload].items()
-        if argv.startswith(prefix)
+        for workload, digests in _RECORDED_DIGESTS.items()
+        for argv, digest in digests.items()
+        if not argv.startswith("roots ") and select(workload, argv)
     ]
 
+    @pytest.mark.parametrize("argv,digest", cases, ids=[argv for argv, _ in cases])
+    def test(capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-_SAMPLE_DIGESTS = _recorded_digests(("sample-draw", "cli-mix"), "sample ")
-_ENUMERATE_DIGESTS = _recorded_digests(("enumerate-stream",))
-
-
-@pytest.mark.parametrize("argv,digest", _SAMPLE_DIGESTS, ids=[a for a, _ in _SAMPLE_DIGESTS])
-def test_sample_stdout_matches_recorded_digest(capsys, argv, digest):
-    """sample prints byte-identical trees for the recorded argvs and seeds."""
-    code, out, _ = run(capsys, *argv.split())
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    return test
 
 
-@pytest.mark.parametrize(
-    "argv,digest", _ENUMERATE_DIGESTS, ids=[a for a, _ in _ENUMERATE_DIGESTS]
+# The one digest test, collected under three names so that each existing
+# case keeps its test id: sample jobs, enumerate-stream jobs (which pin the
+# enumeration order end to end), and every other non-roots job.
+test_sample_stdout_matches_recorded_digest = _recorded_digest_test(
+    lambda workload, argv: argv.startswith("sample ")
 )
-def test_enumerate_stream_stdout_matches_recorded_digest(capsys, argv, digest):
-    """enumerate and verify oracle print byte-identical output for the
-    recorded argvs, which pins the enumeration order end to end."""
-    code, out, _ = run(capsys, *argv.split())
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+test_enumerate_stream_stdout_matches_recorded_digest = _recorded_digest_test(
+    lambda workload, argv: workload == "enumerate-stream"
+)
+test_stdout_matches_recorded_digest = _recorded_digest_test(
+    lambda workload, argv: workload != "enumerate-stream" and not argv.startswith("sample ")
+)
 
 
 # Runs ``python -m linetrees.cli`` on the argv given as JSON, and prints the

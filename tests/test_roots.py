@@ -55,33 +55,33 @@ def test_deflation_at_zero_point():
     q = build_char_polynomial(2, (0.0, 0.0))
     assert q.coefficients == (1 + 0j, -1 + 0j, 0j)
     assert q.effective_degree == 1
-    report = roots_all(q)
-    assert report.roots == (((1 + 0j), 1),)
+    roots, _ = roots_all(q)
+    assert roots == (((1 + 0j), 1),)
 
 
 def test_partial_deflation():
     q = build_char_polynomial(2, (0.1, 0.0))
     assert q.effective_degree == 1
-    (root, mult), = roots_all(q).roots
+    ((root, mult),), _ = roots_all(q)
     assert mult == 1
     assert abs(root - 1 / 0.9) < 1e-12
 
 
 def test_roots_d2_match_quadratic_oracle():
     x0, x1 = quadratic_roots(0.1, 0.1)
-    report = roots_all(build_char_polynomial(2, (0.1, 0.1)))
-    got = sorted(r.real for r, _ in report.roots)
+    roots, _ = roots_all(build_char_polynomial(2, (0.1, 0.1)))
+    got = sorted(r.real for r, _ in roots)
     assert abs(got[0] - x0) < 1e-9
     assert abs(got[1] - x1) < 1e-9
-    assert all(abs(r.imag) < 1e-12 for r, _ in report.roots)
+    assert all(abs(r.imag) < 1e-12 for r, _ in roots)
 
 
 def test_roots_residual_contract():
     q = build_char_polynomial(3, (0.01, 0.05, 0.1))
-    report = roots_all(q, residual_tol=1e-10)
+    roots, residual_max = roots_all(q, residual_tol=1e-10)
     scale = max(abs(c) for c in q.coefficients)
-    assert report.residual_max <= 1e-10 * scale
-    for root, _ in report.roots:
+    assert residual_max <= 1e-10 * scale
+    for root, _ in roots:
         assert abs(q(root)) <= 1e-10 * scale
 
 
@@ -112,9 +112,9 @@ def test_cluster_merges_within_radius():
 
 def test_double_root_point():
     # at g = (1/4, 1/4) the two roots coincide at 4
-    report = roots_all(build_char_polynomial(2, (0.25, 0.25)))
-    assert sum(m for _, m in report.roots) == 2
-    assert all(abs(r - 4.0) < 1e-5 for r, _ in report.roots)
+    roots, _ = roots_all(build_char_polynomial(2, (0.25, 0.25)))
+    assert sum(m for _, m in roots) == 2
+    assert all(abs(r - 4.0) < 1e-5 for r, _ in roots)
 
 
 def test_rouche_epsilon_and_admissibility():
