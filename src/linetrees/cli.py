@@ -241,6 +241,17 @@ def _run_sample(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse ignores an OSError from its own writes; let one on stdout
+    reach ``main``, which an unbuffered stdout (``PYTHONUNBUFFERED``) needs."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--d", type=int, required=True, help="number of colors (2..8)")
@@ -248,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "csv", "text"), default="json", help="output format"
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="linetrees",
         description="Count, enumerate, sample, and analyze rooted line-colored D-ary trees.",
     )

@@ -13,9 +13,10 @@ with ``P = p_1 + ... + p_D``, and more generally the level-n weights
 
 form the coefficient arrays of the n-th power of the generating function.
 
-Everything here is exact integer arithmetic; divisions are performed last and
-checked for exactness instead of being cancelled away inside the binomials,
-so a silent formula bug turns into a loud :class:`IntegralityViolation`.
+Everything here is exact integer arithmetic: each binomial factor is
+``math.comb``, and divisions are performed last and checked for exactness
+instead of being cancelled away inside the binomials, so a silent formula bug
+turns into a loud :class:`IntegralityViolation`.
 """
 
 from __future__ import annotations
@@ -64,15 +65,6 @@ class ColorProfile:
         return sum(self.counts)
 
 
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); returns 0 when k < 0 or k > n."""
-    if n < 0:
-        raise DomainError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def exact_div(numerator: int, denominator: int) -> int:
     """Divide exactly, raising IntegralityViolation on a nonzero remainder."""
     quotient, remainder = divmod(numerator, denominator)
@@ -95,7 +87,7 @@ def closed_form_count(profile: ColorProfile, n: int = 1) -> int:
     p_total = profile.total
     product = n
     for p in profile.counts:
-        product *= binomial(p_total + n, p)
+        product *= math.comb(p_total + n, p)
     return exact_div(product, p_total + n)
 
 
@@ -110,7 +102,7 @@ def fuss_catalan_total(d: int, p_vertices: int) -> int:
     if p_vertices < 1:
         raise DomainError(f"need at least one vertex, got {p_vertices}")
     top = d * p_vertices + 1
-    return exact_div(binomial(top, p_vertices), top)
+    return exact_div(math.comb(top, p_vertices), top)
 
 
 def narayana(n: int, k: int) -> int:
@@ -123,7 +115,7 @@ def narayana(n: int, k: int) -> int:
         raise DomainError(f"narayana requires n >= 1, got {n}")
     if k < 1 or k > n:
         raise DomainError(f"narayana requires 1 <= k <= n, got k={k}, n={n}")
-    return exact_div(binomial(n, k) * binomial(n, k - 1), n)
+    return exact_div(math.comb(n, k) * math.comb(n, k - 1), n)
 
 
 def profiles_with_total(d: int, total: int) -> Iterator[tuple[int, ...]]:

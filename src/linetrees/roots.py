@@ -11,10 +11,12 @@ and that root is F(g): the unique branch tending to 1 as g -> 0.
 
 This module is deliberately the only floating-point one in the package:
 roots come from the companion matrix (numpy.roots) under an explicit
-residual contract, with Newton steps on Q for a root that misses it;
+residual contract, judged at 1/r on the reversed polynomial where the bound
+at r overflows, with Newton steps on Q for a root that misses it;
 exact zeros in the leading coefficients are deflated before root finding,
 and near-coincident roots are merged into one root with multiplicity
-within a documented clustering radius.
+within a documented clustering radius.  The two records, ``CharPolynomial``
+and ``RootReport``, are immutable NamedTuples.
 
 numpy is imported on the first root-finding call, not with this module:
 importing numpy (about 0.1 s) costs more than building a polynomial, and
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateError, DomainError, RootFindingFailure
 from .limits import DEFAULT_RESIDUAL_TOL, check_colors
@@ -38,16 +40,12 @@ CLUSTER_RADIUS = 1e-7
 POLISH_STEPS = 3
 
 
-class CharPolynomial:
-    """Q(X) at a fixed point g; ``coefficients[k]`` multiplies X^k.  Treat an
-    instance as immutable."""
+class CharPolynomial(NamedTuple):
+    """Q(X) at a fixed point g; ``coefficients[k]`` multiplies X^k."""
 
-    __slots__ = ("d", "point", "coefficients")
-
-    def __init__(self, d: int, point: tuple[complex, ...], coefficients: tuple[complex, ...]):
-        self.d = d
-        self.point = point
-        self.coefficients = coefficients
+    d: int
+    point: tuple[complex, ...]
+    coefficients: tuple[complex, ...]
 
     def __call__(self, x: complex) -> complex:
         return _horner(self.coefficients, x)[0]
@@ -65,32 +63,16 @@ class CharPolynomial:
         return degree
 
 
-class RootReport:
-    """Roots with multiplicities and the isolation diagnostics at a radius.
-    Treat an instance as immutable."""
+class RootReport(NamedTuple):
+    """Roots with multiplicities and the isolation diagnostics at a radius."""
 
-    __slots__ = (
-        "roots", "residual_max", "radius", "epsilon_used", "admissible", "inside_count",
-        "principal_root",
-    )
-
-    def __init__(
-        self,
-        roots: tuple[tuple[complex, int], ...],
-        residual_max: float,
-        radius: float,
-        epsilon_used: float,
-        admissible: bool,
-        inside_count: int,
-        principal_root: complex | None,
-    ):
-        self.roots = roots
-        self.residual_max = residual_max
-        self.radius = radius
-        self.epsilon_used = epsilon_used
-        self.admissible = admissible
-        self.inside_count = inside_count
-        self.principal_root = principal_root
+    roots: tuple[tuple[complex, int], ...]
+    residual_max: float
+    radius: float
+    epsilon_used: float
+    admissible: bool
+    inside_count: int
+    principal_root: complex | None
 
 
 def build_char_polynomial(d: int, point: Sequence[complex]) -> CharPolynomial:
@@ -157,11 +139,13 @@ def roots_all(
     as the small ones.  A root takes Newton steps on Q while it fails the
     bound, at most POLISH_STEPS of them (Press et al., Numerical Recipes,
     ``zroots``): the companion matrix loses accuracy on the small roots when
-    a leading coefficient is tiny, and Newton's method restores it.  A root
-    that still fails it raises RootFindingFailure, which carries
-    ``residual_max``.  A root or a residual that overflows floating point
-    also raises RootFindingFailure.  ``residual_tol`` must be finite and
-    >= 0.
+    a leading coefficient is tiny, and Newton's method restores it.  Where
+    the scale overflows, the bound is checked divided by |r|^d, on Q's
+    reversed coefficients at 1/r, and a root that fails it there takes no
+    Newton step.  A root that still fails it raises RootFindingFailure,
+    which carries ``residual_max``.  A root or a residual that overflows
+    floating point also raises RootFindingFailure.  ``residual_tol`` must be
+    finite and >= 0.
     """
     if not 0 <= residual_tol < math.inf:
         raise DomainError(f"residual_tol must be finite and >= 0, got {residual_tol}")
@@ -190,11 +174,16 @@ def roots_all(
     for r in found:
         for steps_left in range(POLISH_STEPS, -1, -1):
             value, slope, scale = _horner(coeffs, r)
-            if abs(value) <= residual_tol * scale:
+            residual = abs(value)
+            if scale == math.inf:
+                # The bound divided by |r|^d: Q's reversed coefficients at 1/r.
+                reversed_value, _, scale = _horner(coeffs[::-1], 1 / r)
+                residual, steps_left = abs(reversed_value), 0
+            if residual <= residual_tol * scale:
                 break
             if not steps_left or slope == 0 or not cmath.isfinite(value / slope):
                 failures.append(
-                    f"root residual {abs(value):.3e} exceeds {residual_tol:.1e} * {scale:.3e}"
+                    f"root residual {residual:.3e} exceeds {residual_tol:.1e} * {scale:.3e}"
                 )
                 break
             r -= value / slope

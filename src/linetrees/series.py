@@ -14,8 +14,9 @@ verify_* functions compare the two routes coefficient by coefficient.
 Coefficients are arbitrary-precision integers throughout; truncation is by
 total degree, so every identity checked here is closed under it.
 `MultiSeries` offers construction that truncates (and `constant`), `+`,
-series x series `*`, `coefficient`, `items_sorted`, `evaluate` and
-`to_json_obj`; both operands of `+` and `*` must share d and order.
+series x series `*`, `coefficient`, `items_sorted`, `evaluate` (the plain
+sum of its terms at a point) and `to_json_obj`; both operands of `+` and `*`
+must share d and order.
 Products work degree by degree: a pair of terms whose total degree exceeds
 the order is never formed.
 """
@@ -23,6 +24,7 @@ the order is never formed.
 from __future__ import annotations
 
 import itertools
+import math
 from operator import add
 from typing import Sequence
 
@@ -107,10 +109,12 @@ class MultiSeries:
         return MultiSeries(self.d, self.order, out)
 
     def evaluate(self, point: Sequence[complex]) -> complex:
-        """Value of the truncated sum at a complex point, by nested Horner."""
+        """Value of the truncated sum at a complex point: the plain sum of
+        c * prod_i g_i^p_i over the terms."""
         if len(point) != self.d:
             raise DomainError(f"point has {len(point)} entries, series has d={self.d}")
-        return _horner(self.coeffs, tuple(complex(x) for x in point))
+        point = tuple(complex(x) for x in point)
+        return sum((c * math.prod(map(pow, point, p)) for p, c in self.coeffs.items()), 0j)
 
     def to_json_obj(self) -> dict:
         """Stable dump: coefficients as decimal strings, sorted by total
@@ -141,23 +145,6 @@ def _accumulate(out: dict[tuple[int, ...], int], left: _Terms, right: _Terms) ->
         for pb, cb in right:
             key = tuple(map(add, pa, pb))
             out[key] = get(key, 0) + ca * cb
-
-
-def _horner(coeffs: dict[tuple[int, ...], int], point: tuple[complex, ...]) -> complex:
-    if not coeffs:
-        return 0j
-    if not point:
-        return complex(coeffs.get((), 0))
-    groups: dict[int, dict[tuple[int, ...], int]] = {}
-    for key, value in coeffs.items():
-        groups.setdefault(key[0], {})[key[1:]] = value
-    result = 0j
-    for power in range(max(groups), -1, -1):
-        result = result * point[0]
-        sub = groups.get(power)
-        if sub is not None:
-            result += _horner(sub, point[1:])
-    return result
 
 
 def elementary_symmetric_series(d: int, order: int) -> list[MultiSeries]:

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from linetrees.cli import VERIFY_KINDS, _build_parser, main
 from linetrees.combinatorics import ColorProfile
 from linetrees.counting import ProfileCountTable, SampleRequest
-from linetrees.roots import build_char_polynomial
+from linetrees.errors import RootFindingFailure
+from linetrees.roots import build_char_polynomial, roots_all
 from linetrees.trees import ColoredTree, decode, enumerate_by_lines
 
 
@@ -205,6 +206,20 @@ def test_series_csv(capsys):
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_series_rows_match_json(capsys, fmt):
+    argv = ("series", "--d", "3", "--order", "4", "--n", "2")
+    _, out, _ = run(capsys, *argv)
+    expected = [[*map(str, item["p"]), item["c"]] for item in json.loads(out)["coeffs"]]
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    if fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["p_1", "p_2", "p_3", "c"]
+    else:
+        rows = [[*p.split(","), c] for p, c in (line.split("\t") for line in out.splitlines())]
+    assert code == 0 and rows == expected
+
+
 def test_series_order_cap_exits_3(capsys):
     assert run(capsys, "series", "--d", "2", "--order", "40")[0] == 3
     assert run(capsys, "series", "--d", "2", "--order", "20")[0] == 0
@@ -291,6 +306,45 @@ def test_roots_json_schema(capsys):
     assert abs(doc["principal_root"]["re"] - 1.27016654) < 1e-7
     assert doc["epsilon_R"] == pytest.approx(0.2071067811865476)
     assert all({"re", "im", "mult"} <= set(r) for r in doc["roots"])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_roots_rows_match_json(capsys, fmt):
+    """csv and text rows hold the json roots; they are compared with the same
+    argv's json, not with fixed bytes, since the last bits of np.roots depend
+    on the LAPACK build."""
+    argv = ("roots", "--d", "3", "--g=0.1,-0.2,0.05", "--radius", "3")
+    _, out, _ = run(capsys, *argv)
+    doc = json.loads(out)
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0 and len(doc["roots"]) == 3
+    if fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["re", "im", "mult"]
+        assert [[float(re_), float(im), int(m)] for re_, im, m in rows] == [
+            [r["re"], r["im"], r["mult"]] for r in doc["roots"]
+        ]
+    else:
+        assert out.splitlines() == [
+            f"Q at g={doc['g']}: epsilon_R={doc['epsilon_R']:.6g} "
+            f"admissible={doc['admissible']} inside_count={doc['inside_count']}",
+            *(f"  root {r['re']:+.12g}{r['im']:+.12g}j  mult={r['mult']}" for r in doc["roots"]),
+        ]
+
+
+def test_roots_bound_is_checked_at_1_over_r_where_it_overflows(capsys):
+    """Q has a root near -1.2e216, where sum_k |c_k| |r|^k overflows.  The
+    root is judged on Q's reversed coefficients at 1/r, where that bound is
+    finite, and residual_max stays the forward |Q(r)|."""
+    g = "8.013368438209091e-217,-0.15337351170497798,-0.09544280292481254"
+    code, out, _ = run(capsys, "roots", "--d", "3", f"--g={g}")
+    doc = json.loads(out)
+    assert code == 0 and doc["inside_count"] == 1
+    assert doc["residual_max"] > 1e200
+    q = build_char_polynomial(3, [float(x) for x in g.split(",")])
+    with pytest.raises(RootFindingFailure) as exc:
+        roots_all(q, 0)
+    assert "inf" not in str(exc.value)
 
 
 def test_roots_inadmissible_point(capsys):
@@ -476,15 +530,27 @@ def test_closed_stdout_exits_141_without_traceback(argv):
     assert (proc.wait(timeout=120), err) == (141, b"")
 
 
-@pytest.mark.parametrize("argv", [["--version"], ["sample", "--help"]])
-def test_stdout_closed_before_any_output_exits_141(argv):
+@pytest.mark.parametrize(
+    "argv,unbuffered",
+    [
+        (["--version"], False),
+        (["sample", "--help"], False),
+        (["--version"], True),
+        (["sample", "--help"], True),
+        (["count", "--d", "2", "--profile", "1,1"], False),
+        (["count", "--d", "2", "--profile", "1,1"], True),
+    ],
+    ids=["argv0", "argv1", "unbuffered-version", "unbuffered-help", "count", "unbuffered-count"],
+)
+def test_stdout_closed_before_any_output_exits_141(argv, unbuffered):
     """Output that fits in the stdout buffer fails only when it is flushed:
     with the read end of the pipe closed before the command starts,
-    ``--version`` and ``--help`` end with 128 + SIGPIPE and nothing on
-    stderr too.  Unbuffered stdout is turned off, because argparse drops a
-    write error itself and would exit 0."""
+    ``--version``, ``--help`` and a short command end with 128 + SIGPIPE and
+    nothing on stderr too, whether stdout is buffered or not."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -636,6 +702,8 @@ BIG = "1" + "0" * 2200
         (("sample", "--d", "2", "--profile", "15,15", "--count", "3"), 0),
         (("sample", "--d", "2", "--profile", "16,15", "--count", "3"), 3),
         (("sample", "--d", "4", "--profile", "3,3,3,2", "--count", "3"), 3),
+        # a level below 1 is a usage error
+        (("count", "--d", "2", "--profile", "1,1", "--n", "0"), 2),
     ],
 )
 def test_caps_and_invalid_values(capsys, argv, code):

@@ -8,30 +8,14 @@ from hypothesis import strategies as st
 
 from linetrees.combinatorics import (
     ColorProfile,
-    binomial,
     closed_form_count,
+    exact_div,
     fuss_catalan_total,
     narayana,
     profiles_with_total,
 )
-from linetrees.errors import DomainError
-
-
-def test_binomial_known_values():
-    assert binomial(0, 0) == 1
-    assert binomial(5, -1) == 0
-    assert binomial(7, 3) == 35
-    assert binomial(4, 5) == 0
-
-
-def test_binomial_rejects_negative_n():
-    with pytest.raises(DomainError):
-        binomial(-1, 0)
-
-
-@given(st.integers(1, 60), st.integers(0, 60))
-def test_binomial_pascal_rule(n, k):
-    assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+from linetrees.errors import DomainError, IntegralityViolation
+from linetrees.verification import verify_narayana_bridge
 
 
 def test_color_profile_invariants():
@@ -138,6 +122,14 @@ def test_narayana_domain():
         narayana(3, 4)
     with pytest.raises(DomainError):
         narayana(0, 0)
+    with pytest.raises(DomainError):
+        verify_narayana_bridge(-1)
+
+
+def test_exact_div_raises_on_a_remainder():
+    assert exact_div(8, 2) == 4
+    with pytest.raises(IntegralityViolation, match="remainder 1"):
+        exact_div(7, 2)
 
 
 def test_narayana_bridge():

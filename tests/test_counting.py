@@ -141,6 +141,16 @@ def test_splitmix64_below_uses_minimal_bits():
     assert SplitMix64(3).below(1) == 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: SplitMix64(-1), lambda: SplitMix64(2**64), lambda: SplitMix64(0).below(0)],
+    ids=["seed=-1", "seed=2**64", "below(0)"],
+)
+def test_splitmix64_rejects_bad_seeds_and_bounds(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 @given(st.integers(0, 2**64 - 1), st.integers(1, 10**12))
 @settings(max_examples=50)
 def test_splitmix64_below_in_range(seed, bound):

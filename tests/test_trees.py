@@ -83,6 +83,8 @@ def test_decode_rejects_out_of_range_color():
         ("(²:())", 1),
         ("(٣:())", 1),
         ("(01:())", 1),
+        # a child that is followed by neither ',' nor ')'
+        ("(1:()x", 5),
     ],
 )
 def test_decode_parse_errors_carry_offsets(text, offset):
