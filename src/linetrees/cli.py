@@ -314,6 +314,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stdout is None:
+        # File descriptor 1 was closed at start-up (``>&-``).  Write to a
+        # pipe whose reader is gone instead, so that output ends the command
+        # as it does after ``| head``.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        sys.stdout = open(write_end, "w")
     try:
         try:
             # --version and --help print here and raise SystemExit.

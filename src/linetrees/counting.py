@@ -22,14 +22,17 @@ them, with ``encode`` and ``decode`` as the reference), in this fixed order:
 The memo keeps prefix sums, not only totals (cumulative counts, as in
 Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978).  For each profile p it
 holds the admissible subsets S and the cumulative ends of their index
-blocks; for each remainder r and number of parts k >= 2 it holds the
-cumulative sums of N(q) * (splits of r - q into k - 1 parts) over the first
-sub-profile q <= r in lexicographic order, whose last element is the split
+blocks.  For each remainder r it holds the box of r: every vector q <= r in
+lexicographic order, each equal vector one shared object, so that r - q is
+the mirror entry ``box[~j]`` of ``q = box[j]``.  For each remainder r and
+number of parts k >= 2 it holds the cumulative sums of N(q) * (splits of
+r - q into k - 1 parts) over the box of r, whose last element is the split
 total.  Unranking bisects these lists: ``bisect_right`` on the block ends
-picks S, and at each split position it picks q from its lexicographic
-position j, decoded in mixed radix over (r_i + 1), so no q vectors are
-stored.  Ranking (:meth:`ProfileCountTable.rank`) decodes an encoding and
-adds up the same prefix sums, inverting unranking.
+picks S, and at each split position it picks the box entry q and its mirror
+r - q.  A subtree whose profile has one tree (a leaf, a one-color chain)
+takes its encoding from a memo filled on first use.  Ranking
+(:meth:`ProfileCountTable.rank`) decodes an encoding and adds up the same
+prefix sums, inverting unranking.
 
 Sampling draws a uniform index below N(p) with a SplitMix64 generator and
 unranks it, so identical seeds reproduce identical trees on every platform.
@@ -37,9 +40,10 @@ unranks it, so identical seeds reproduce identical trees on every platform.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
-from typing import Iterator, Sequence
+from itertools import accumulate, product, repeat
+from operator import mul
+from typing import Sequence
 
 from .combinatorics import ColorProfile
 from .errors import DomainError, IndexOutOfRange
@@ -128,9 +132,15 @@ class ProfileCountTable:
         # Per profile p: the admissible root subsets, each with p - chi_S, and
         # the cumulative ends of their index blocks.
         self._blocks: dict[tuple[int, ...], tuple[tuple, list[int]]] = {}
+        # Per remainder split into two or more parts: every vector q <=
+        # remainder in lexicographic order, interned through _vectors.
+        self._boxes: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        self._vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
         # Per (parts >= 2, remainder): the cumulative split weights, one per
-        # first sub-profile q <= remainder in lexicographic order.
+        # first sub-profile q in the box of remainder.
         self._split_ends: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+        # Per profile with exactly one tree: that tree's encoding.
+        self._single: dict[tuple[int, ...], str] = {}
 
     def _check(self, profile: ColorProfile) -> tuple[int, ...]:
         if profile.d != self.d:
@@ -170,15 +180,24 @@ class ProfileCountTable:
         key = (parts, remainder)
         ends = self._split_ends.get(key)
         if ends is None:
-            # remainder - q runs through the vectors <= remainder in reverse
-            # lexicographic order while q runs forward.
-            downward = itertools.product(*(range(b, -1, -1) for b in remainder))
-            ends = list(itertools.accumulate(
-                self._count(q) * self._split_sum(parts - 1, rest)
-                for q, rest in zip(_vectors_upto(remainder), downward)
-            ))
+            # remainder - q runs through the box backwards while q runs forward.
+            box = self._box(remainder)
+            ends = list(accumulate(map(
+                mul,
+                map(self._count, box),
+                map(self._split_sum, repeat(parts - 1), reversed(box)),
+            )))
             self._split_ends[key] = ends
         return ends[-1]
+
+    def _box(self, remainder: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """All vectors q <= remainder in lexicographic order, interned."""
+        box = self._boxes.get(remainder)
+        if box is None:
+            intern = self._vectors.setdefault
+            box = tuple(intern(q, q) for q in product(*(range(b + 1) for b in remainder)))
+            self._boxes[remainder] = box
+        return box
 
     def unrank(self, profile: ColorProfile, index: int) -> str:
         """Encoding of the index-th tree with the given profile in the documented order."""
@@ -200,27 +219,35 @@ class ProfileCountTable:
         colors, remainder = choices[k]
         # Peel off one sub-profile per color, lowest color first.  Among
         # splits sharing the sub-profiles fixed so far, the one whose next
-        # sub-profile is q starts at prefix * ends[j - 1], where j is the
-        # lexicographic position of q and prefix the product of the fixed
-        # sub-profiles' counts.
-        parts: list[tuple[int, ...]] = []
+        # sub-profile is q = box[j] starts at prefix * ends[j - 1], where
+        # prefix is the product of the fixed sub-profiles' counts.
+        counts = self._counts
+        parts: list[tuple[tuple[int, ...], int]] = []
         prefix = 1
         for tail in range(len(colors), 1, -1):
             split_ends = self._split_ends[tail, remainder]
             j = bisect_right(split_ends, index // prefix)
             if j:
                 index -= prefix * split_ends[j - 1]
-            q = _vector_at(remainder, j)
-            parts.append(q)
-            remainder = _subtract(remainder, q)
-            prefix *= self._counts[q]
-        parts.append(remainder)
+            box = self._boxes[remainder]
+            q = box[j]
+            remainder = box[~j]
+            n = counts[q]
+            parts.append((q, n))
+            prefix *= n
+        parts.append((remainder, counts[remainder]))
         # Mixed-radix decode of the per-subtree indices, lowest color most
         # significant.
         children = []
-        for color, q in zip(reversed(colors), reversed(parts)):
-            index, sub = divmod(index, self._counts[q])
-            children.append(f"{color}:{self._unrank(q, sub)}")
+        for color, (q, n) in zip(reversed(colors), reversed(parts)):
+            if n == 1:
+                text = self._single.get(q)
+                if text is None:
+                    text = self._single[q] = self._unrank(q, 0)
+            else:
+                index, sub = divmod(index, n)
+                text = self._unrank(q, sub)
+            children.append(f"{color}:{text}")
         children.reverse()
         return f"({','.join(children)})"
 
@@ -260,7 +287,7 @@ class ProfileCountTable:
             j = _position_of(remainder, q)
             if j:
                 index += prefix * self._split_ends[tail, remainder][j - 1]
-            remainder = _subtract(remainder, q)
+            remainder = self._boxes[remainder][~j]
             prefix *= self._counts[q]
         sub = 0
         for q, sub_index in zip(parts, sub_indices):
@@ -286,27 +313,10 @@ def _minus_indicator(p: tuple[int, ...], colors: Sequence[int]) -> tuple[int, ..
     return tuple(out)
 
 
-def _subtract(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _vectors_upto(bound: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All vectors 0 <= q <= bound componentwise, in lexicographic order."""
-    return itertools.product(*(range(b + 1) for b in bound))
-
-
-def _vector_at(bound: tuple[int, ...], position: int) -> tuple[int, ...]:
-    """The vector at ``position`` in the order of :func:`_vectors_upto`: mixed
-    radix over ``b + 1``, last coordinate least significant."""
-    digits = []
-    for b in reversed(bound):
-        position, digit = divmod(position, b + 1)
-        digits.append(digit)
-    return tuple(reversed(digits))
-
-
 def _position_of(bound: tuple[int, ...], q: tuple[int, ...]) -> int:
-    """The inverse of :func:`_vector_at`."""
+    """The position of q in the box of ``bound`` (all vectors <= bound in
+    lexicographic order): mixed radix over ``b + 1``, last coordinate least
+    significant."""
     position = 0
     for b, digit in zip(bound, q):
         position = position * (b + 1) + digit

@@ -563,6 +563,29 @@ def test_stdout_closed_before_any_output_exits_141(argv, unbuffered):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        (["count", "--d", "2", "--profile", "1,1"], 141, b""),
+        (["sample", "--d", "2", "--profile", "1,1", "--count", "3"], 141, b""),
+        (["--version"], 141, b""),
+        (["count", "--d", "9", "--profile", "1,1"], 2,
+         b"error: d must be an integer in 2..8, got 9\n"),
+    ],
+    ids=["count", "sample", "version", "malformed"],
+)
+def test_closed_file_descriptor_1_acts_as_a_closed_pipe(argv, code, err):
+    """With file descriptor 1 closed (``>&-``) Python starts with
+    ``sys.stdout`` None; output ends the command as on a closed pipe, and
+    malformed input is still reported on stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "linetrees.cli", *argv],
+        env=env, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (code, err)
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -265,7 +265,10 @@ def subtract(a, b):
 
 CAP_PROFILES = [
     ColorProfile(2, (15, 15)),
+    ColorProfile(2, (20, 10)),
     ColorProfile(3, (5, 5, 5)),
+    ColorProfile(4, (3, 3, 2, 2)),
+    ColorProfile(5, (2, 2, 2, 2, 2)),
     ColorProfile(8, (2, 2, 1, 1, 1, 1, 1, 1)),
     ColorProfile(8, (0, 0, 0, 0, 0, 0, 0, 10)),
 ]
@@ -301,6 +304,18 @@ def test_unrank_matches_linear_scan_and_rank_inverts_it_at_cap_profiles(profile)
         text = table.unrank(profile, index)
         assert text == encode(reference.unrank(profile.counts, index))
         assert table.rank(profile, text) == index
+
+
+def test_boxes_list_each_remainder_in_order_with_mirrored_differences():
+    table = ProfileCountTable(8)
+    table.recursive_count(ColorProfile(8, (2, 2, 1, 1, 1, 1, 1, 1)))
+    assert table._boxes
+    shared = {}
+    for remainder, box in table._boxes.items():
+        assert box == tuple(itertools.product(*(range(b + 1) for b in remainder)))
+        for j, q in enumerate(box):
+            assert box[~j] == subtract(remainder, q)
+            assert shared.setdefault(q, q) is q
 
 
 def test_rank_rejects_invalid_or_foreign_trees():
