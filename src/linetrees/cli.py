@@ -337,7 +337,13 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return EXIT_BROKEN_PIPE
     except LineTreesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stderr.write(f"error: {exc}\n")
+        except (AttributeError, OSError):
+            # File descriptor 2 is closed (``2>&-``): sys.stderr is None, or
+            # another file landed on fd 2 and writing fails.  The exit code
+            # still tells, as it does for argparse's own errors.
+            pass
         return exc.exit_code
 
 

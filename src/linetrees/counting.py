@@ -20,19 +20,29 @@ them, with ``encode`` and ``decode`` as the reference), in this fixed order:
     lowest color most significant.
 
 The memo keeps prefix sums, not only totals (cumulative counts, as in
-Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978).  For each profile p it
-holds the admissible subsets S and the cumulative ends of their index
-blocks.  For each remainder r it holds the box of r: every vector q <= r in
-lexicographic order, each equal vector one shared object, so that r - q is
-the mirror entry ``box[~j]`` of ``q = box[j]``.  For each remainder r and
-number of parts k >= 2 it holds the cumulative sums of N(q) * (splits of
-r - q into k - 1 parts) over the box of r, whose last element is the split
+Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978), and is filled bottom-up
+without recursion.  Write S_k(r) for the sum, over the ordered splits of r
+into k sub-profiles, of the product of their counts (S_1 = N).  Counting p
+walks the box of p (every vector q <= p) in lexicographic order, in which
+each q - chi_S and every vector below q comes earlier.  For each new q it
+records the admissible subsets S, the submasks of q's support in ascending
+order, and the cumulative ends of their index blocks, summing the totals
+S_|S|(q - chi_S) already made.  Then it makes S_k(q) = sum over q' <= q of
+N(q') * S_{k-1}(q - q') for each k >= 2 that a profile <= p can need, up to
+the number of colors with q_i < p_i; one dict per k holds these totals.  A
+table shared across calls extends a q made for a smaller profile to the k a
+larger one needs, and skips the part of the box below a counted p - e_i,
+which is already made.  For each q split into two or more parts the memo
+holds the box of q, each equal vector one shared object, so that q - q' is
+the mirror entry ``box[~j]`` of ``q' = box[j]``, and for each k the
+cumulative sums behind S_k(q), one per box entry, whose last element is the
 total.  Unranking bisects these lists: ``bisect_right`` on the block ends
-picks S, and at each split position it picks the box entry q and its mirror
-r - q.  A subtree whose profile has one tree (a leaf, a one-color chain)
-takes its encoding from a memo filled on first use.  Ranking
+picks S, and at each split position it picks the box entry q' and its
+mirror.  A subtree whose profile has at most ``_SMALL_COUNT`` trees takes
+its encoding from a per-profile memo filled on first use.  Ranking
 (:meth:`ProfileCountTable.rank`) decodes an encoding and adds up the same
-prefix sums, inverting unranking.
+prefix sums, inverting unranking.  Only unranking recurses, once per tree
+level.
 
 Sampling draws a uniform index below N(p) with a SplitMix64 generator and
 unranks it, so identical seeds reproduce identical trees on every platform.
@@ -41,9 +51,8 @@ unranks it, so identical seeds reproduce identical trees on every platform.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, product, repeat
-from operator import mul
-from typing import Sequence
+from itertools import accumulate, product
+from operator import lt, mul
 
 from .combinatorics import ColorProfile
 from .errors import DomainError, IndexOutOfRange
@@ -52,6 +61,12 @@ from .limits import check_colors
 _MASK64 = (1 << 64) - 1
 
 _LEAF = "()"
+
+# Subtrees whose profile has at most this many trees keep their encodings in
+# a memo.  64 sits at the plateau of 2000 draws at each sample cap profile
+# (16 is slower, 4096 barely faster), and a table for the d=8 cap profile
+# (2,2,1,1,1,1,1,1) then holds at most 3,195 encodings.
+_SMALL_COUNT = 64
 
 
 class SampleRequest:
@@ -122,13 +137,18 @@ class ProfileCountTable:
 
     def __init__(self, d: int):
         self.d = check_colors(d)
-        # Subsets of colors in ascending bitmask order, with their bitmasks;
-        # bit i-1 <=> color i.
+        # The colors of each subset, indexed by its bitmask; bit i-1 <=> color i.
         self._subsets = tuple(
-            (mask, tuple(color for color in range(1, d + 1) if mask >> (color - 1) & 1))
-            for mask in range(1, 1 << d)
+            tuple(color for color in range(1, d + 1) if mask >> (color - 1) & 1)
+            for mask in range(1 << d)
         )
         self._counts: dict[tuple[int, ...], int] = {}
+        # Per number of parts k: the split totals S_k(r), keyed by remainder r;
+        # S_1 is the count itself.
+        self._totals: list[dict[tuple[int, ...], int]] = [{} for _ in range(d + 1)]
+        self._totals[1] = self._counts
+        # Per counted profile q: the largest k for which S_k(q) is made.
+        self._made: dict[tuple[int, ...], int] = {}
         # Per profile p: the admissible root subsets, each with p - chi_S, and
         # the cumulative ends of their index blocks.
         self._blocks: dict[tuple[int, ...], tuple[tuple, list[int]]] = {}
@@ -139,8 +159,9 @@ class ProfileCountTable:
         # Per (parts >= 2, remainder): the cumulative split weights, one per
         # first sub-profile q in the box of remainder.
         self._split_ends: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-        # Per profile with exactly one tree: that tree's encoding.
-        self._single: dict[tuple[int, ...], str] = {}
+        # Per profile with at most _SMALL_COUNT trees: their encodings by
+        # index, each filled on first use.
+        self._small: dict[tuple[int, ...], list[str | None]] = {}
 
     def _check(self, profile: ColorProfile) -> tuple[int, ...]:
         if profile.d != self.d:
@@ -155,49 +176,70 @@ class ProfileCountTable:
         cached = self._counts.get(p)
         if cached is not None:
             return cached
-        choices = []
-        ends = []
-        if not any(p):
-            result = 1
-        else:
-            result = 0
-            absent = sum(1 << i for i, n in enumerate(p) if not n)
-            for mask, colors in self._subsets:
-                if not mask & absent:
-                    remainder = _minus_indicator(p, colors)
-                    result += self._split_sum(len(colors), remainder)
+        counts, totals, made = self._counts, self._totals, self._made
+        subsets, boxes, split_ends = self._subsets, self._boxes, self._split_ends
+        # Walk q <= p in lexicographic order, in which each q - chi_S and
+        # every vector below q comes earlier.  A counted vector v has every
+        # q <= v counted and made for the parts v needs.  So once p - e_i is
+        # counted, only the q with q_i >= p_i - 1 can need work (those with
+        # q_i = p_i - 1 need one part more), and every q left to count has
+        # q_i = p_i, so that its q - chi_S are in the walk.
+        low = [
+            n - 1 if n and p[:i] + (n - 1,) + p[i + 1:] in counts else 0
+            for i, n in enumerate(p)
+        ]
+        box = self._box([range(lo, n + 1) for lo, n in zip(low, p)])
+        # In the walk, q - chi_S sits offsets[S] places before q.
+        strides = [1] * self.d
+        for i in range(self.d - 1, 0, -1):
+            strides[i - 1] = strides[i] * (p[i] - low[i] + 1)
+        offsets = [0]
+        for stride in strides:
+            offsets += [offset + stride for offset in offsets]
+        for position, q in enumerate(box):
+            have = made.get(q)
+            if have is None:
+                present = sum(1 << i for i, n in enumerate(q) if n)
+                result = 0 if present else 1
+                choices = []
+                ends = []
+                mask = 0
+                while True:
+                    # The next submask of present, in ascending order.
+                    mask = (mask - present) & present
+                    if not mask:
+                        break
+                    colors = subsets[mask]
+                    remainder = box[position - offsets[mask]]
+                    result += totals[len(colors)][remainder]
                     choices.append((colors, remainder))
                     ends.append(result)
-        self._blocks[p] = (tuple(choices), ends)
-        self._counts[p] = result
-        return result
+                self._blocks[q] = (tuple(choices), ends)
+                counts[q] = result
+                have = made[q] = 1
+            # A profile <= p whose root set S leaves remainder q has |S| <=
+            # need, the number of colors with q_i < p_i.  A table shared
+            # across calls may have made q for fewer parts.
+            need = sum(map(lt, q, p))
+            if have < need:
+                q_box = boxes.get(q)
+                if q_box is None:
+                    q_box = boxes[q] = self._box([range(n + 1) for n in q])
+                # q - q' runs through the box backwards while q' runs forward.
+                weights = list(map(counts.__getitem__, q_box))
+                for k in range(have + 1, need + 1):
+                    ends = split_ends[k, q] = list(accumulate(map(
+                        mul, weights, map(totals[k - 1].__getitem__, reversed(q_box))
+                    )))
+                    totals[k][q] = ends[-1]
+                made[q] = need
+        return counts[p]
 
-    def _split_sum(self, parts: int, remainder: tuple[int, ...]) -> int:
-        """Sum over ordered splits of ``remainder`` into ``parts`` sub-profiles
-        of the product of their counts."""
-        if parts == 1:
-            return self._count(remainder)
-        key = (parts, remainder)
-        ends = self._split_ends.get(key)
-        if ends is None:
-            # remainder - q runs through the box backwards while q runs forward.
-            box = self._box(remainder)
-            ends = list(accumulate(map(
-                mul,
-                map(self._count, box),
-                map(self._split_sum, repeat(parts - 1), reversed(box)),
-            )))
-            self._split_ends[key] = ends
-        return ends[-1]
-
-    def _box(self, remainder: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """All vectors q <= remainder in lexicographic order, interned."""
-        box = self._boxes.get(remainder)
-        if box is None:
-            intern = self._vectors.setdefault
-            box = tuple(intern(q, q) for q in product(*(range(b + 1) for b in remainder)))
-            self._boxes[remainder] = box
-        return box
+    def _box(self, ranges: list[range]) -> tuple[tuple[int, ...], ...]:
+        """The vectors of ``product(*ranges)`` in lexicographic order,
+        interned: the first of equal vectors stored is the one every box
+        holds."""
+        return tuple(map(self._vectors.setdefault, product(*ranges), product(*ranges)))
 
     def unrank(self, profile: ColorProfile, index: int) -> str:
         """Encoding of the index-th tree with the given profile in the documented order."""
@@ -239,13 +281,17 @@ class ProfileCountTable:
         # Mixed-radix decode of the per-subtree indices, lowest color most
         # significant.
         children = []
+        small = self._small
         for color, (q, n) in zip(reversed(colors), reversed(parts)):
-            if n == 1:
-                text = self._single.get(q)
+            index, sub = divmod(index, n)
+            if n <= _SMALL_COUNT:
+                memo = small.get(q)
+                if memo is None:
+                    memo = small[q] = [None] * n
+                text = memo[sub]
                 if text is None:
-                    text = self._single[q] = self._unrank(q, 0)
+                    text = memo[sub] = self._unrank(q, sub)
             else:
-                index, sub = divmod(index, n)
                 text = self._unrank(q, sub)
             children.append(f"{color}:{text}")
         children.reverse()
@@ -304,13 +350,6 @@ class ProfileCountTable:
         n = self._count(p)
         rng = SplitMix64(request.seed)
         return [self._unrank(p, rng.below(n)) for _ in range(request.count)]
-
-
-def _minus_indicator(p: tuple[int, ...], colors: Sequence[int]) -> tuple[int, ...]:
-    out = list(p)
-    for color in colors:
-        out[color - 1] -= 1
-    return tuple(out)
 
 
 def _position_of(bound: tuple[int, ...], q: tuple[int, ...]) -> int:

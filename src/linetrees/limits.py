@@ -1,14 +1,16 @@
 """Every size limit of the command line, in one table, behind one check.
 
 The paper's objects have no natural size limit, and the library takes any
-size that Python's recursion limit allows: a ProfileCountTable recurses
-about twice per edge, so profile totals up to about 450 work and 500 ends
-in RecursionError, unchecked.  The caps exist so that each CLI command
-finishes in about ten seconds or less and no decimal count it prints
-reaches Python's 4300-digit limit on int-to-str conversion; ``cli``
-applies them to its input before any work.  The README's "Budgets and caps"
-table lists these values with the worst measured time at each.  Caps keyed
-by the number of colors d hold one entry per d in 2..MAX_COLORS.
+size that Python's recursion limit allows: a ProfileCountTable builds its
+memo without recursion and unranks with one frame per tree level, so trees
+up to about 950 levels deep unrank (996 from a top-level script under the
+default limit of 1000) and deeper ones end in RecursionError, unchecked.
+The caps exist so that each CLI command finishes in about ten seconds or
+less and no decimal count it prints reaches Python's 4300-digit limit on
+int-to-str conversion; ``cli`` applies them to its input before any work.
+The README's "Budgets and caps" table lists these values with the worst
+measured time at each.  Caps keyed by the number of colors d hold one entry
+per d in 2..MAX_COLORS.
 """
 
 from __future__ import annotations

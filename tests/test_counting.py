@@ -1,6 +1,7 @@
 """Tests for memoized counting, ranking, unranking, and uniform sampling."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,46 @@ def test_triple_agreement(d, max_total):
             assert table.recursive_count(profile) == expected
             assert closed_form_count(profile, 1) == expected
 
+
+
+@pytest.mark.parametrize("d,max_total", [(5, 7), (6, 6), (7, 5), (8, 5)])
+def test_recursive_count_matches_closed_form_at_five_to_eight_colors(d, max_total):
+    """The root recursion against the closed form on every profile up to a
+    total, on one table per d, and at the cap profiles on fresh tables."""
+    table = ProfileCountTable(d)
+    for total in range(max_total + 1):
+        for counts in profiles_with_total(d, total):
+            profile = ColorProfile(d, counts)
+            assert table.recursive_count(profile) == closed_form_count(profile, 1)
+    for counts in [(2, 2, 2, 2, 2), (2, 2, 1, 1, 1, 1, 1, 1)]:
+        if len(counts) == d:
+            profile = ColorProfile(d, counts)
+            assert ProfileCountTable(d).recursive_count(profile) == closed_form_count(profile, 1)
+
+
+@pytest.mark.parametrize("d,max_total", [(2, 6), (3, 4), (4, 3)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shared_table_in_any_order_matches_fresh_tables(d, max_total, seed):
+    """A table queried over many profiles in shuffled order gives each one
+    the count, root blocks, split prefix sums and unranked trees of a table
+    built for that profile alone.  A profile counted while building a
+    smaller one may later need split totals for more parts."""
+    profiles = [
+        ColorProfile(d, counts)
+        for total in range(max_total + 1)
+        for counts in profiles_with_total(d, total)
+    ]
+    random.Random(seed).shuffle(profiles)
+    shared = ProfileCountTable(d)
+    for profile in profiles:
+        fresh = ProfileCountTable(d)
+        n = fresh.recursive_count(profile)
+        assert shared.recursive_count(profile) == n
+        assert shared._blocks[profile.counts] == fresh._blocks[profile.counts]
+        for key, ends in fresh._split_ends.items():
+            assert shared._split_ends[key] == ends
+        for index in range(n):
+            assert shared.unrank(profile, index) == fresh.unrank(profile, index)
 
 def test_unrank_singleton():
     assert ProfileCountTable(2).unrank(ColorProfile(2, (1, 0)), 0) == "(1:())"
@@ -346,3 +387,13 @@ def test_rank_inverts_unrank_on_a_chain_of_max_depth():
     text = table.unrank(profile, 0)
     assert text == "(1:" * MAX_DEPTH + "()" + ")" * MAX_DEPTH
     assert table.rank(profile, text) == 0
+
+
+def test_unrank_reaches_past_the_decode_depth_limit():
+    # The build walks boxes without recursion and unranking takes one frame
+    # per tree level, so a chain of 700 edges unranks, well past decode's
+    # MAX_DEPTH of 450, with room below the default recursion limit.
+    table = ProfileCountTable(2)
+    profile = ColorProfile(2, (699, 1))
+    assert table.recursive_count(profile) == closed_form_count(profile, 1)
+    assert table.unrank(profile, 0) == "(1:" * 699 + "(2:())" + ")" * 699
