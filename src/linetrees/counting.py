@@ -302,7 +302,11 @@ class ProfileCountTable:
         given profile; the inverse of :meth:`unrank`.
 
         Raises what ``decode(text, d)`` raises, and DomainError when the
-        tree's color profile differs from ``profile``.
+        tree's color profile differs from ``profile``.  ``decode`` recurses
+        and rejects text nested deeper than ``trees.MAX_DEPTH`` (450) edges
+        with ParseError, so a tree that :meth:`unrank` returns from about
+        451 to 950 levels deep does not rank; an iterative parser of the
+        text (ROADMAP item 7) would lift this limit.
         """
         from .trees import decode, profile_counts
 

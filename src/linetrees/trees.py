@@ -14,9 +14,10 @@ Canonical encoding grammar (a stable text format, also used by the CLI):
 Children are written in strictly ascending color order; ``decode`` rejects
 any other order, so ``encode`` is injective and ``decode(encode(t)) == t``.
 
-The enumerator works on encodings alone: it joins each tree's encoding from
-its children's finished encodings and yields plain strings, building no
-``ColoredTree``; so does the unranker of :mod:`linetrees.counting`.  ``encode``
+The enumerator works on encodings alone: it fills one template per set of
+root colors, such as ``"(1:{},3:{})"``, with its children's finished
+encodings and yields plain strings, building no ``ColoredTree``; the
+unranker of :mod:`linetrees.counting` builds none either.  ``encode``
 and ``decode`` are the reference the enumerated and unranked strings are
 tested against.
 """
@@ -192,18 +193,18 @@ def _trees_with_exact_lines(
 ) -> list[str]:
     # Decompose at the root: pick the set of child colors, then split the
     # remaining edges among the subtrees.  Each tree arises exactly once.
-    # A tree's encoding joins its children's finished encodings, in the
-    # ascending color order that ``encode`` writes them.
+    # One template per color set, such as "(1:{},3:{})", takes the children's
+    # finished encodings in the ascending color order that ``encode`` writes
+    # them; the grammar has no braces, so ``str.format`` copies them as they
+    # are.
     if lines == 0:
         return ["()"]
     out: list[str] = []
     for arity in range(1, min(d, lines) + 1):
         for colors in itertools.combinations(range(1, d + 1), arity):
-            labels = [f"{color}:" for color in colors]
+            fmt = "({})".format(",".join(f"{color}:{{}}" for color in colors)).format
             for sizes in profiles_with_total(arity, lines - arity):
-                for children in itertools.product(*(smaller[s] for s in sizes)):
-                    text = ",".join([label + child for label, child in zip(labels, children)])
-                    out.append(f"({text})")
+                out.extend(itertools.starmap(fmt, itertools.product(*(smaller[s] for s in sizes))))
     return out
 
 
@@ -213,10 +214,19 @@ def count_by_profile_bruteforce(d: int, max_total: int) -> dict[ColorProfile, in
     The returned map has an entry for every profile with total <= max_total
     (every profile is realized by at least one chain).
     """
-    # Each edge of color c appears in the encoding as "c:" exactly once, and
-    # no other "c:" appears, because every color is one digit (MAX_COLORS <= 9).
-    labels = [f"{color}:" for color in range(1, d + 1)]
-    tally = Counter(
-        tuple(text.count(label) for label in labels) for text in enumerate_by_lines(d, max_total)
+    # A tree's color word is its encoding with "(),:" deleted: one digit per
+    # edge, because every color is one digit (MAX_COLORS <= 9).  The words
+    # are counted first, then each distinct word is folded into its profile.
+    words = Counter(
+        map(
+            bytes.translate,
+            map(str.encode, enumerate_by_lines(d, max_total)),
+            itertools.repeat(None),
+            itertools.repeat(b"(),:"),
+        )
     )
+    digits = [str(color).encode() for color in range(1, d + 1)]
+    tally: Counter[tuple[int, ...]] = Counter()
+    for word, number in words.items():
+        tally[tuple(map(word.count, digits))] += number
     return {ColorProfile(d, counts): number for counts, number in tally.items()}

@@ -389,6 +389,19 @@ def test_rank_inverts_unrank_on_a_chain_of_max_depth():
     assert table.rank(profile, text) == 0
 
 
+def test_rank_stops_at_the_decode_depth_limit_that_unrank_passes():
+    # rank parses with decode, which stops at MAX_DEPTH edges; unrank goes
+    # about twice as deep.  Every tree of MAX_DEPTH edges ranks, and a chain
+    # of one edge more, which unranks, does not.
+    table = ProfileCountTable(2)
+    profile = ColorProfile(2, (MAX_DEPTH - 1, 1))
+    for index in (0, table.recursive_count(profile) - 1):
+        assert table.rank(profile, table.unrank(profile, index)) == index
+    deeper = ColorProfile(2, (MAX_DEPTH + 1, 0))
+    with pytest.raises(ParseError):
+        table.rank(deeper, table.unrank(deeper, 0))
+
+
 def test_unrank_reaches_past_the_decode_depth_limit():
     # The build walks boxes without recursion and unranking takes one frame
     # per tree level, so a chain of 700 edges unranks, well past decode's

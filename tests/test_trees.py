@@ -1,12 +1,18 @@
 """Tests for the tree structure, canonical encoding, and brute-force enumeration."""
 
+import itertools
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linetrees.combinatorics import ColorProfile, closed_form_count, profiles_with_total
+from linetrees.combinatorics import (
+    ColorProfile,
+    closed_form_count,
+    fuss_catalan_total,
+    profiles_with_total,
+)
 from linetrees.errors import ColorError, ColorOrderError, DomainError, LineTreesError, ParseError
 from linetrees.limits import CAPS, MAX_COLORS
 from linetrees.trees import (
@@ -210,6 +216,24 @@ def test_enumerate_carries_each_trees_encoding(d, max_lines):
     assert previous_lines == max_lines
 
 
+@pytest.mark.parametrize("d", range(2, MAX_COLORS + 1))
+def test_enumerate_at_the_cli_line_caps(d):
+    """At each d's max_lines cap, level by level (a tree's line count is its
+    number of ':'): the level holds the Fuss-Catalan number of trees, in
+    strictly increasing order, written only in the grammar's characters."""
+    max_lines = CAPS["max_lines"][d]
+    alphabet = set("(),:" + "".join(str(color) for color in range(1, d + 1)))
+    seen = []
+    stream = enumerate_by_lines(d, max_lines)
+    for lines, group in itertools.groupby(stream, key=lambda text: text.count(":")):
+        level = list(group)
+        assert len(level) == fuss_catalan_total(d, lines + 1)
+        assert all(map(str.__lt__, level, level[1:]))
+        assert set("".join(level)) <= alphabet
+        seen.append(lines)
+    assert seen == list(range(max_lines + 1))
+
+
 def test_enumerate_budget_and_caps():
     with pytest.raises(DomainError):
         list(enumerate_by_lines(1, 2))
@@ -259,10 +283,24 @@ def test_oracle_at_the_cli_line_caps(d):
     assert verify_oracle(d, CAPS["max_lines"][d]).ok
 
 
+@pytest.mark.parametrize("d", range(2, MAX_COLORS + 1))
+def test_tally_equals_a_count_of_color_labels_at_the_cli_line_caps(d):
+    """The color-word tally equals the reference that counts each "c:" label
+    in every encoding, at each d's max_lines cap."""
+    max_lines = CAPS["max_lines"][d]
+    labels = [f"{color}:" for color in range(1, d + 1)]
+    reference = Counter(
+        tuple(text.count(label) for label in labels) for text in enumerate_by_lines(d, max_lines)
+    )
+    expected = {ColorProfile(d, counts): number for counts, number in reference.items()}
+    assert count_by_profile_bruteforce(d, max_lines) == expected
+
+
 @pytest.mark.parametrize("d,max_lines", [(2, 7), (3, 5), (4, 4), (5, 4), (6, 3), (7, 3), (8, 3)])
 def test_string_tally_equals_a_tally_of_decoded_trees(d, max_lines):
-    """count_by_profile_bruteforce counts "c:" in each encoding, which is
-    exact only while every color is one digit."""
+    """count_by_profile_bruteforce counts each color's digit in every
+    encoding's color word, which is exact only while every color is one
+    digit."""
     assert MAX_COLORS <= 9
     trees = (decode(text, d) for text in enumerate_by_lines(d, max_lines))
     tally = Counter(profile_counts(tree, d) for tree in trees)
