@@ -8,6 +8,7 @@ import json
 import os
 import random
 import re
+import select
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,6 +22,7 @@ from linetrees.cli import VERIFY_KINDS, _build_parser, main
 from linetrees.combinatorics import ColorProfile
 from linetrees.counting import ProfileCountTable, SampleRequest
 from linetrees.errors import RootFindingFailure
+from linetrees.limits import CAPS
 from linetrees.roots import build_char_polynomial, roots_all
 from linetrees.trees import ColoredTree, decode, enumerate_by_lines
 
@@ -173,6 +175,102 @@ def test_tree_output_builds_no_tree_objects(capsys, monkeypatch, argv, fmt):
             monkeypatch.setattr(module, "encode", refuse)
     monkeypatch.setattr(ColoredTree, "__init__", refuse)
     assert run(capsys, *argv, "--format", fmt) == expected
+
+
+class WriteRecorder:
+    """A stdout stand-in that keeps each ``write`` it is given."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def recorded_writes(*argv):
+    recorder = WriteRecorder()
+    with redirect_stdout(recorder):
+        assert main(list(argv)) == 0
+    return recorder.writes
+
+
+def per_line_trees(encodings, fmt, **fields):
+    """Tree output as it was written one line at a time: the reference for
+    the batched writer."""
+    out = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(out)
+        writer.writerow(["tree"])
+        writer.writerows([text] for text in encodings)
+    elif fmt == "json":
+        head, tail = json.dumps({"tree": "", **fields}, allow_nan=False).split('""', 1)
+        for text in encodings:
+            out.write(f'{head}"{text}"{tail}\n')
+    else:
+        for text in encodings:
+            out.write(f"{text}\n")
+    return out.getvalue()
+
+
+SAMPLE_CAP_PROFILES = [
+    "15,15", "20,10", "5,5,5", "3,3,2,2", "2,2,2,2,2", "2,2,1,1,1,1,1,1",
+    "1,1,1,1,1,1,2,2", "0,0,0,0,0,0,0,10",
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(("enumerate", "--d", str(d), "--max-lines", str(lines)), id=f"enumerate-d{d}")
+     for d, lines in CAPS["max_lines"].items()]
+    + [pytest.param(("sample", "--d", str(p.count(",") + 1), "--profile", p, "--count", "2000",
+                     "--seed", "3"), id=f"sample-{p}")
+       for p in SAMPLE_CAP_PROFILES],
+)
+def test_tree_output_is_written_in_pipe_buf_pieces(argv):
+    """At every cap, in each format, the writes join to the one-line-per-tree
+    output and none is longer than PIPE_BUF (every output is ASCII, so a
+    character is a byte)."""
+    d = int(argv[2])
+    if argv[0] == "enumerate":
+        encodings, fields = list(enumerate_by_lines(d, int(argv[4]))), {}
+    else:
+        profile = ColorProfile(d, tuple(map(int, argv[4].split(","))))
+        request = SampleRequest(profile, int(argv[6]), int(argv[8]))
+        encodings = ProfileCountTable(d).sample_uniform(request)
+        fields = {"profile": list(profile.counts)}
+    for fmt in ("json", "text", "csv"):
+        writes = recorded_writes(*argv, "--format", fmt)
+        assert "".join(writes) == per_line_trees(encodings, fmt, **fields)
+        assert max(map(len, writes)) <= select.PIPE_BUF
+        assert "".join(writes).isascii()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_enumerate_writes_far_fewer_times_than_it_prints_trees(fmt):
+    """52,787 trees at d=3 and 7 lines, once one write each."""
+    writes = recorded_writes("enumerate", "--d", "3", "--max-lines", "7", "--format", fmt)
+    assert len(writes) < 1000
+
+
+def test_series_text_and_csv_are_written_in_pipe_buf_pieces():
+    """The 12,870 coefficients of ``series --d 8 --order 8`` equal their
+    one-line-per-coefficient output in text and csv."""
+    from linetrees.series import solve_tree_equation
+
+    items = list(solve_tree_equation(8, 8).items_sorted())
+    text = "".join(f"{','.join(map(str, p))}\t{c}\n" for p, c in items)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow([f"p_{i}" for i in range(1, 9)] + ["c"])
+    writer.writerows(list(p) + [str(c)] for p, c in items)
+    for fmt, expected in [("text", text), ("csv", out.getvalue())]:
+        writes = recorded_writes("series", "--d", "8", "--order", "8", "--format", fmt)
+        assert "".join(writes) == expected
+        assert max(map(len, writes)) <= select.PIPE_BUF
 
 
 def test_enumerate_budget_exits_3(capsys):
@@ -507,18 +605,35 @@ def test_sample_over_cap_exits_3(capsys):
     assert code == 3
 
 
+ENUMERATE_D3_CAP = ["enumerate", "--d", "3", "--max-lines", "8", "--format", "text"]
+SAMPLE_2000 = ["sample", "--d", "2", "--profile", "15,15", "--count", "2000"]
+SAMPLE_ONE_BATCH = ["sample", "--d", "2", "--profile", "15,15", "--count", "900"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,unbuffered",
     [
-        ["enumerate", "--d", "3", "--max-lines", "8", "--format", "text"],
-        ["sample", "--d", "2", "--profile", "15,15", "--count", "2000"],
+        (ENUMERATE_D3_CAP, False),
+        (SAMPLE_2000, False),
+        (SAMPLE_ONE_BATCH, False),
+        (ENUMERATE_D3_CAP, True),
+        (SAMPLE_2000, True),
+        (SAMPLE_ONE_BATCH, True),
     ],
+    ids=["argv0", "argv1", "one-batch", "unbuffered-enumerate", "unbuffered-sample",
+         "unbuffered-one-batch"],
 )
-def test_closed_stdout_exits_141_without_traceback(argv):
+def test_closed_stdout_exits_141_without_traceback(argv, unbuffered):
     """A reader that closes the pipe after one line (``| head -1``) ends the
-    command with 128 + SIGPIPE and nothing on stderr.  Each output is far
-    larger than a pipe holds, so the command is still writing."""
+    command with 128 + SIGPIPE and nothing on stderr, whether stdout is
+    buffered or not.  Each output is larger than a pipe holds, so the command
+    is still writing.  The 900 samples (about 145 KB) fit in one batch of the
+    line writer: unbuffered, a batch written whole would land in part, the
+    lost count would go unseen, and the command would exit 0."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-m", "linetrees.cli", *argv],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
