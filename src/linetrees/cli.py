@@ -270,13 +270,17 @@ def _run_sample(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse ignores an OSError from its own writes; let one on stdout
-    reach ``main``, which an unbuffered stdout (``PYTHONUNBUFFERED``) needs."""
+    reach ``main``, which an unbuffered stdout (``PYTHONUNBUFFERED``) needs.
+    Python 3.10's argparse does not ignore one on stderr, so ignore it here."""
 
     def _print_message(self, message, file=None):
         if message and file is sys.stdout:
             file.write(message)
         else:
-            super()._print_message(message, file)
+            try:
+                super()._print_message(message, file)
+            except OSError:
+                pass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -348,6 +352,11 @@ def main(argv: list[str] | None = None) -> int:
         read_end, write_end = os.pipe()
         os.close(read_end)
         sys.stdout = open(write_end, "w")
+    if sys.stderr is None:
+        # File descriptor 2 was closed at start-up (``2>&-``).  Messages go
+        # to devnull, not to stdout, where argparse sends its usage when
+        # sys.stderr is None; the exit code still tells.
+        sys.stderr = open(os.devnull, "w")
     try:
         try:
             # --version and --help print here and raise SystemExit.
@@ -359,19 +368,32 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader closed stdout (``| head``).  Point stdout at devnull so
         # that the flush at interpreter exit cannot raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_devnull(sys.stdout)
         return EXIT_BROKEN_PIPE
     except LineTreesError as exc:
         try:
             sys.stderr.write(f"error: {exc}\n")
-        except (AttributeError, OSError):
-            # File descriptor 2 is closed (``2>&-``): sys.stderr is None, or
-            # another file landed on fd 2 and writing fails.  The exit code
-            # still tells, as it does for argparse's own errors.
+        except OSError:
+            # Another file landed on fd 2 before Python started (a read-only
+            # one, ``2</dev/null``), and writing fails.  The exit code still
+            # tells, as it does for argparse's own errors.
             pass
         return exc.exit_code
+    finally:
+        # A buffered stderr keeps what it failed to write (the message above
+        # or argparse's), and its flush at interpreter exit would fail again
+        # and exit 120: point fd 2 at devnull.
+        try:
+            sys.stderr.flush()
+        except OSError:
+            _to_devnull(sys.stderr)
+
+
+def _to_devnull(stream) -> None:
+    """Point the file descriptor under ``stream`` at devnull."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -19,30 +19,26 @@ them, with ``encode`` and ``decode`` as the reference), in this fixed order:
   * within one split, subtree indices combine in mixed radix with the
     lowest color most significant.
 
-The memo keeps prefix sums, not only totals (cumulative counts, as in
-Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978), and is filled bottom-up
-without recursion.  Write S_k(r) for the sum, over the ordered splits of r
-into k sub-profiles, of the product of their counts (S_1 = N).  Counting p
-walks the box of p (every vector q <= p) in lexicographic order, in which
-each q - chi_S and every vector below q comes earlier.  For each new q it
-records the admissible subsets S, the submasks of q's support in ascending
-order, and the cumulative ends of their index blocks, summing the totals
-S_|S|(q - chi_S) already made.  Then it makes S_k(q) = sum over q' <= q of
-N(q') * S_{k-1}(q - q') for each k >= 2 that a profile <= p can need, up to
-the number of colors with q_i < p_i; one dict per k holds these totals.  A
-table shared across calls extends a q made for a smaller profile to the k a
-larger one needs, and skips the part of the box below a counted p - e_i,
-which is already made.  For each q split into two or more parts the memo
-holds the box of q, each equal vector one shared object, so that q - q' is
-the mirror entry ``box[~j]`` of ``q' = box[j]``, and for each k the
-cumulative sums behind S_k(q), one per box entry, whose last element is the
-total.  Unranking bisects these lists: ``bisect_right`` on the block ends
-picks S, and at each split position it picks the box entry q' and its
-mirror.  A subtree whose profile has at most ``_SMALL_COUNT`` trees takes
-its encoding from a per-profile memo filled on first use.  Ranking
-(:meth:`ProfileCountTable.rank`) decodes an encoding and adds up the same
-prefix sums, inverting unranking.  Only unranking recurses, once per tree
-level.
+The memo keeps prefix sums (cumulative counts, as in Nijenhuis & Wilf,
+*Combinatorial Algorithms*, 1978) keyed by integer ids, one interned per
+profile vector, and is filled bottom-up without recursion.  Write S_k(r)
+for the sum, over the ordered splits of r into k sub-profiles, of the
+product of their counts (S_1 = N).  Counting p walks the box of p (every
+q <= p) in lexicographic order, in which each q - chi_S and every vector
+below q comes earlier.  For each new q it records, per admissible S (the
+submasks of q's support, ascending), the node's ``str.format`` template, |S|
+and q - chi_S, with the cumulative ends of their index blocks.  For each
+k >= 2 that a profile <= p can need, it makes S_k(q) = sum over q' <= q of
+N(q') * S_{k-1}(q - q') in one split record per q: the box of q, read off
+the walk by position, in which q - q' is the mirror entry ``box[~j]`` of
+``q' = box[j]``, and per k the cumulative sums behind S_k(q).  A shared
+table extends such a record to the k a larger profile needs, and skips the
+part of the box below a counted p - e_i.  Unranking bisects the block ends
+to pick S, unranks a single child directly, bisects the split ends to pick
+each q' and its mirror, and fills the node's template with the children's
+encodings, one frame per tree level; a subtree whose profile has at most
+``_SMALL_COUNT`` trees comes from a per-profile memo filled on first use.
+Ranking (:meth:`ProfileCountTable.rank`) adds up the same prefix sums.
 
 Sampling draws a uniform index below N(p) with a SplitMix64 generator and
 unranks it, so identical seeds reproduce identical trees on every platform.
@@ -51,8 +47,8 @@ unranks it, so identical seeds reproduce identical trees on every platform.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, product
-from operator import lt, mul
+from itertools import accumulate, chain, count, product, repeat
+from operator import add, lt, mul
 
 from .combinatorics import ColorProfile
 from .errors import DomainError, IndexOutOfRange
@@ -137,31 +133,32 @@ class ProfileCountTable:
 
     def __init__(self, d: int):
         self.d = check_colors(d)
-        # The colors of each subset, indexed by its bitmask; bit i-1 <=> color i.
-        self._subsets = tuple(
-            tuple(color for color in range(1, d + 1) if mask >> (color - 1) & 1)
-            for mask in range(1 << d)
-        )
-        self._counts: dict[tuple[int, ...], int] = {}
+        # Per root subset, indexed by its bitmask (bit i-1 <=> color i): its
+        # number of children, and the str.format method that joins their
+        # encodings, as "(1:{},3:{})".format.
+        self._sizes, fields = [0], [""]
+        for color in range(1, d + 1):
+            self._sizes += [size + 1 for size in self._sizes]
+            fields += [f"{field},{color}:{{}}" for field in fields]
+        self._templates = [f"({field[1:]})".format for field in fields]
+        # Each profile vector met is interned once to an integer id, which
+        # keys every memo below.
+        self._ids: dict[tuple[int, ...], int] = {}
+        self._new_ids = count()
+        self._counts: dict[int, int] = {}
         # Per number of parts k: the split totals S_k(r), keyed by remainder r;
         # S_1 is the count itself.
-        self._totals: list[dict[tuple[int, ...], int]] = [{} for _ in range(d + 1)]
+        self._totals: list[dict[int, int]] = [{} for _ in range(d + 1)]
         self._totals[1] = self._counts
-        # Per counted profile q: the largest k for which S_k(q) is made.
-        self._made: dict[tuple[int, ...], int] = {}
-        # Per profile p: the admissible root subsets, each with p - chi_S, and
-        # the cumulative ends of their index blocks.
-        self._blocks: dict[tuple[int, ...], tuple[tuple, list[int]]] = {}
-        # Per remainder split into two or more parts: every vector q <=
-        # remainder in lexicographic order, interned through _vectors.
-        self._boxes: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-        self._vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
-        # Per (parts >= 2, remainder): the cumulative split weights, one per
-        # first sub-profile q in the box of remainder.
-        self._split_ends: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+        # Per profile p: per admissible root subset S, (template, |S|,
+        # p - chi_S), and the cumulative ends of their index blocks.
+        self._blocks: dict[int, tuple[tuple[tuple, ...], list[int]]] = {}
+        # Per remainder split into two or more parts: its box, and per k made
+        # so far the cumulative split weights, one per box entry (k >= 2).
+        self._splits: dict[int, tuple[tuple[int, ...], list]] = {}
         # Per profile with at most _SMALL_COUNT trees: their encodings by
         # index, each filled on first use.
-        self._small: dict[tuple[int, ...], list[str | None]] = {}
+        self._small: dict[int, list[str | None]] = {}
 
     def _check(self, profile: ColorProfile) -> tuple[int, ...]:
         if profile.d != self.d:
@@ -173,11 +170,12 @@ class ProfileCountTable:
         return self._count(self._check(profile))
 
     def _count(self, p: tuple[int, ...]) -> int:
-        cached = self._counts.get(p)
+        ids, counts = self._ids, self._counts
+        cached = counts.get(ids.get(p))
         if cached is not None:
             return cached
-        counts, totals, made = self._counts, self._totals, self._made
-        subsets, boxes, split_ends = self._subsets, self._boxes, self._split_ends
+        totals, blocks, splits, small = self._totals, self._blocks, self._splits, self._small
+        sizes, templates = self._sizes, self._templates
         # Walk q <= p in lexicographic order, in which each q - chi_S and
         # every vector below q comes earlier.  A counted vector v has every
         # q <= v counted and made for the parts v needs.  So once p - e_i is
@@ -185,117 +183,124 @@ class ProfileCountTable:
         # q_i = p_i - 1 need one part more), and every q left to count has
         # q_i = p_i, so that its q - chi_S are in the walk.
         low = [
-            n - 1 if n and p[:i] + (n - 1,) + p[i + 1:] in counts else 0
+            n - 1 if n and ids.get(p[:i] + (n - 1,) + p[i + 1:]) in counts else 0
             for i, n in enumerate(p)
         ]
-        box = self._box([range(lo, n + 1) for lo, n in zip(low, p)])
-        # In the walk, q - chi_S sits offsets[S] places before q.
+        ranges = [range(lo, n + 1) for lo, n in zip(low, p)]
+        walk = tuple(map(ids.setdefault, product(*ranges), self._new_ids))
+        # In the walk, q sits at sum_i (q_i - low_i) * strides[i], and
+        # q - chi_S sits offsets[S] places before q.
         strides = [1] * self.d
         for i in range(self.d - 1, 0, -1):
             strides[i - 1] = strides[i] * (p[i] - low[i] + 1)
         offsets = [0]
         for stride in strides:
             offsets += [offset + stride for offset in offsets]
-        for position, q in enumerate(box):
-            have = made.get(q)
-            if have is None:
-                present = sum(1 << i for i, n in enumerate(q) if n)
+        for position, (q, v) in enumerate(zip(walk, product(*ranges))):
+            if q not in counts:
+                present = sum(1 << i for i, n in enumerate(v) if n)
                 result = 0 if present else 1
-                choices = []
-                ends = []
-                mask = 0
+                choices, ends, mask = [], [], 0
                 while True:
                     # The next submask of present, in ascending order.
                     mask = (mask - present) & present
                     if not mask:
                         break
-                    colors = subsets[mask]
-                    remainder = box[position - offsets[mask]]
-                    result += totals[len(colors)][remainder]
-                    choices.append((colors, remainder))
+                    size = sizes[mask]
+                    remainder = walk[position - offsets[mask]]
+                    result += totals[size][remainder]
+                    choices.append((templates[mask], size, remainder))
                     ends.append(result)
-                self._blocks[q] = (tuple(choices), ends)
+                blocks[q] = (tuple(choices), ends)
                 counts[q] = result
-                have = made[q] = 1
+                if result <= _SMALL_COUNT:
+                    small[q] = [None] * result
             # A profile <= p whose root set S leaves remainder q has |S| <=
             # need, the number of colors with q_i < p_i.  A table shared
             # across calls may have made q for fewer parts.
-            need = sum(map(lt, q, p))
-            if have < need:
-                q_box = boxes.get(q)
-                if q_box is None:
-                    q_box = boxes[q] = self._box([range(n + 1) for n in q])
+            need = sum(map(lt, v, p))
+            if need > 1:
+                record = splits.get(q)
+                if record is None:
+                    if not any(low):
+                        # The box of q is in the walk, one run of q_d + 1
+                        # entries per q'_1..q'_{d-1} <= q_1..q_{d-1}.
+                        starts = list(map(sum, product(*[
+                            range(0, (n + 1) * stride, stride) for n, stride in zip(v[:-1], strides)
+                        ])))
+                        box = tuple(chain.from_iterable(map(walk.__getitem__, map(
+                            slice, starts, map(add, starts, repeat(v[-1] + 1))
+                        ))))
+                    else:
+                        box = tuple(map(ids.__getitem__, product(*[range(n + 1) for n in v])))
+                    record = splits[q] = (box, [None, None])
+                box, split_ends = record
                 # q - q' runs through the box backwards while q' runs forward.
-                weights = list(map(counts.__getitem__, q_box))
-                for k in range(have + 1, need + 1):
-                    ends = split_ends[k, q] = list(accumulate(map(
-                        mul, weights, map(totals[k - 1].__getitem__, reversed(q_box))
-                    )))
+                for k in range(len(split_ends), need + 1):
+                    ends = list(accumulate(map(mul, map(counts.__getitem__, box), map(
+                        totals[k - 1].__getitem__, reversed(box)
+                    ))))
+                    split_ends.append(ends)
                     totals[k][q] = ends[-1]
-                made[q] = need
-        return counts[p]
-
-    def _box(self, ranges: list[range]) -> tuple[tuple[int, ...], ...]:
-        """The vectors of ``product(*ranges)`` in lexicographic order,
-        interned: the first of equal vectors stored is the one every box
-        holds."""
-        return tuple(map(self._vectors.setdefault, product(*ranges), product(*ranges)))
+        return counts[walk[-1]]
 
     def unrank(self, profile: ColorProfile, index: int) -> str:
         """Encoding of the index-th tree with the given profile in the documented order."""
         p = self._check(profile)
         n = self._count(p)
         if not 0 <= index < n:
-            raise IndexOutOfRange(
-                f"index {index} out of range for {n} trees with profile {p}"
-            )
-        return self._unrank(p, index)
+            raise IndexOutOfRange(f"index {index} out of range for {n} trees with profile {p}")
+        return self._unrank(self._ids[p], index)
 
-    def _unrank(self, p: tuple[int, ...], index: int) -> str:
+    def _unrank(self, p: int, index: int) -> str:
         choices, ends = self._blocks[p]
-        if not choices:
+        if not ends:
             return _LEAF
         k = bisect_right(ends, index)
         if k:
             index -= ends[k - 1]
-        colors, remainder = choices[k]
+        template, size, remainder = choices[k]
+        small = self._small
+        if size == 1:
+            memo = small.get(remainder)
+            if memo is None:
+                return template(self._unrank(remainder, index))
+            text = memo[index]
+            if text is None:
+                text = memo[index] = self._unrank(remainder, index)
+            return template(text)
         # Peel off one sub-profile per color, lowest color first.  Among
         # splits sharing the sub-profiles fixed so far, the one whose next
         # sub-profile is q = box[j] starts at prefix * ends[j - 1], where
         # prefix is the product of the fixed sub-profiles' counts.
-        counts = self._counts
-        parts: list[tuple[tuple[int, ...], int]] = []
-        prefix = 1
-        for tail in range(len(colors), 1, -1):
-            split_ends = self._split_ends[tail, remainder]
+        counts, splits = self._counts, self._splits
+        children, prefix = [], 1
+        for tail in range(size, 1, -1):
+            box, split_ends = splits[remainder]
+            split_ends = split_ends[tail]
             j = bisect_right(split_ends, index // prefix)
             if j:
                 index -= prefix * split_ends[j - 1]
-            box = self._boxes[remainder]
             q = box[j]
             remainder = box[~j]
-            n = counts[q]
-            parts.append((q, n))
-            prefix *= n
-        parts.append((remainder, counts[remainder]))
+            children.append(q)
+            prefix *= counts[q]
+        children.append(remainder)
         # Mixed-radix decode of the per-subtree indices, lowest color most
         # significant.
-        children = []
-        small = self._small
-        for color, (q, n) in zip(reversed(colors), reversed(parts)):
-            index, sub = divmod(index, n)
-            if n <= _SMALL_COUNT:
-                memo = small.get(q)
-                if memo is None:
-                    memo = small[q] = [None] * n
+        texts = []
+        for q in reversed(children):
+            index, sub = divmod(index, counts[q])
+            memo = small.get(q)
+            if memo is None:
+                text = self._unrank(q, sub)
+            else:
                 text = memo[sub]
                 if text is None:
                     text = memo[sub] = self._unrank(q, sub)
-            else:
-                text = self._unrank(q, sub)
-            children.append(f"{color}:{text}")
-        children.reverse()
-        return f"({','.join(children)})"
+            texts.append(text)
+        texts.reverse()
+        return template(*texts)
 
     def rank(self, profile: ColorProfile, text: str) -> int:
         """The index of the tree encoded by ``text`` among the trees with the
@@ -323,25 +328,28 @@ class ProfileCountTable:
         memo."""
         if not tree.children:
             return (0,) * self.d, 0
-        colors = tuple(color for color, _ in tree.children)
+        ids, counts = self._ids, self._counts
         parts, sub_indices = zip(*(self._rank(child) for _, child in tree.children))
         remainder = tuple(map(sum, zip(*parts)))
         p = list(remainder)
-        for color in colors:
+        for color, _ in tree.children:
             p[color - 1] += 1
-        choices, ends = self._blocks[tuple(p)]
-        k = [chosen for chosen, _ in choices].index(colors)
+        # Each root subset S leaves its own remainder p - chi_S.
+        remainder = ids[remainder]
+        choices, ends = self._blocks[ids[tuple(p)]]
+        k = [chosen for _, _, chosen in choices].index(remainder)
         index = ends[k - 1] if k else 0
         prefix = 1
-        for tail, q in zip(range(len(colors), 1, -1), parts):
-            j = _position_of(remainder, q)
+        for tail, q in zip(range(len(parts), 1, -1), map(ids.__getitem__, parts)):
+            box, split_ends = self._splits[remainder]
+            j = box.index(q)
             if j:
-                index += prefix * self._split_ends[tail, remainder][j - 1]
-            remainder = self._boxes[remainder][~j]
-            prefix *= self._counts[q]
+                index += prefix * split_ends[tail][j - 1]
+            remainder = box[~j]
+            prefix *= counts[q]
         sub = 0
         for q, sub_index in zip(parts, sub_indices):
-            sub = sub * self._counts[q] + sub_index
+            sub = sub * counts[ids[q]] + sub_index
         return tuple(p), index + sub
 
     def sample_uniform(self, request: SampleRequest) -> list[str]:
@@ -352,15 +360,7 @@ class ProfileCountTable:
         """
         p = self._check(request.profile)
         n = self._count(p)
+        root = self._ids[p]
         rng = SplitMix64(request.seed)
-        return [self._unrank(p, rng.below(n)) for _ in range(request.count)]
+        return [self._unrank(root, rng.below(n)) for _ in range(request.count)]
 
-
-def _position_of(bound: tuple[int, ...], q: tuple[int, ...]) -> int:
-    """The position of q in the box of ``bound`` (all vectors <= bound in
-    lexicographic order): mixed radix over ``b + 1``, last coordinate least
-    significant."""
-    position = 0
-    for b, digit in zip(bound, q):
-        position = position * (b + 1) + digit
-    return position

@@ -709,8 +709,9 @@ def test_closed_file_descriptor_1_acts_as_a_closed_pipe(argv, code, err):
         (["sample", "--d", "3", "--profile", "8,8,8", "--count", "1"], 3, b""),
         (["count", "--d", "2", "--profile", "1,1"], 0,
          b'{"profile": [1, 1], "n": 1, "count": "3"}\n'),
+        (["count", "--bogus"], 2, b""),
     ],
-    ids=["malformed", "over-cap", "count"],
+    ids=["malformed", "over-cap", "count", "argparse"],
 )
 @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
 def test_closed_file_descriptor_2_keeps_the_exit_code(argv, code, out, redirect):
@@ -718,13 +719,16 @@ def test_closed_file_descriptor_2_keeps_the_exit_code(argv, code, out, redirect)
     with ``sys.stderr`` None; when a file opened before Python starts (a
     wrapper script's own, say) lands on fd 2, writing to it fails instead,
     as with ``2</dev/null``.  Either way the error message is lost, stdout
-    holds only the command's output, and the exit code still tells."""
+    holds only the command's output, and the exit code still tells, with
+    stderr buffered or not."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run(
-        ["bash", "-c", f'"$@" {redirect}', "bash", sys.executable, "-m", "linetrees.cli", *argv],
-        env=env, stdout=subprocess.PIPE, timeout=120,
-    )
-    assert (proc.returncode, proc.stdout) == (code, out)
+    env.pop("PYTHONUNBUFFERED", None)
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        proc = subprocess.run(
+            ["bash", "-c", f'"$@" {redirect}', "bash", sys.executable, "-m", "linetrees.cli", *argv],
+            env={**env, **unbuffered}, stdout=subprocess.PIPE, timeout=120,
+        )
+        assert (unbuffered, proc.returncode, proc.stdout) == (unbuffered, code, out)
 
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -64,13 +65,40 @@ def test_recursive_count_matches_closed_form_at_five_to_eight_colors(d, max_tota
             assert ProfileCountTable(d).recursive_count(profile) == closed_form_count(profile, 1)
 
 
-@pytest.mark.parametrize("d,max_total", [(2, 6), (3, 4), (4, 3)])
+def vectors_of(table):
+    """The profile vector of each id in the table's memo."""
+    vectors = {i: v for v, i in table._ids.items()}
+    assert len(vectors) == len(table._ids)  # one id per vector
+    return vectors
+
+
+def blocks_of(table, counts):
+    """The root blocks of a counted profile: per admissible root subset its
+    template, number of children and remainder vector, and the block ends."""
+    vectors = vectors_of(table)
+    choices, ends = table._blocks[table._ids[counts]]
+    return [(template.__self__, size, vectors[r]) for template, size, r in choices], ends
+
+
+def split_ends_of(table):
+    """The cumulative split weights, keyed by (parts, remainder vector)."""
+    vectors = vectors_of(table)
+    return {
+        (k, vectors[r]): ends
+        for r, (_, by_parts) in table._splits.items()
+        for k, ends in enumerate(by_parts)
+        if ends is not None
+    }
+
+
+@pytest.mark.parametrize("d,max_total", [(2, 6), (3, 4), (4, 3), (5, 3), (8, 2)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_shared_table_in_any_order_matches_fresh_tables(d, max_total, seed):
     """A table queried over many profiles in shuffled order gives each one
     the count, root blocks, split prefix sums and unranked trees of a table
     built for that profile alone.  A profile counted while building a
-    smaller one may later need split totals for more parts."""
+    smaller one may later need split totals for more parts, and a walk that
+    starts above a counted p - e_i reads the boxes below it from the ids."""
     profiles = [
         ColorProfile(d, counts)
         for total in range(max_total + 1)
@@ -82,9 +110,10 @@ def test_shared_table_in_any_order_matches_fresh_tables(d, max_total, seed):
         fresh = ProfileCountTable(d)
         n = fresh.recursive_count(profile)
         assert shared.recursive_count(profile) == n
-        assert shared._blocks[profile.counts] == fresh._blocks[profile.counts]
-        for key, ends in fresh._split_ends.items():
-            assert shared._split_ends[key] == ends
+        assert blocks_of(shared, profile.counts) == blocks_of(fresh, profile.counts)
+        shared_split_ends = split_ends_of(shared)
+        for key, ends in split_ends_of(fresh).items():
+            assert shared_split_ends[key] == ends
         for index in range(n):
             assert shared.unrank(profile, index) == fresh.unrank(profile, index)
 
@@ -350,13 +379,14 @@ def test_unrank_matches_linear_scan_and_rank_inverts_it_at_cap_profiles(profile)
 def test_boxes_list_each_remainder_in_order_with_mirrored_differences():
     table = ProfileCountTable(8)
     table.recursive_count(ColorProfile(8, (2, 2, 1, 1, 1, 1, 1, 1)))
-    assert table._boxes
-    shared = {}
-    for remainder, box in table._boxes.items():
-        assert box == tuple(itertools.product(*(range(b + 1) for b in remainder)))
+    assert table._splits
+    vectors = vectors_of(table)
+    for remainder, (box, _) in table._splits.items():
+        remainder = vectors[remainder]
+        box = [vectors[q] for q in box]
+        assert box == list(itertools.product(*(range(b + 1) for b in remainder)))
         for j, q in enumerate(box):
             assert box[~j] == subtract(remainder, q)
-            assert shared.setdefault(q, q) is q
 
 
 def test_rank_rejects_invalid_or_foreign_trees():
@@ -400,6 +430,48 @@ def test_rank_stops_at_the_decode_depth_limit_that_unrank_passes():
     deeper = ColorProfile(2, (MAX_DEPTH + 1, 0))
     with pytest.raises(ParseError):
         table.rank(deeper, table.unrank(deeper, 0))
+
+
+def nested(levels):
+    """Recurse through ``levels + 1`` frames."""
+    return levels and nested(levels - 1)
+
+
+def frames_needed(call):
+    """The lowest recursion limit, counted from the caller's frame depth, at
+    which ``call()`` returns.  The interpreter may count more than the
+    caller's frames (pytest's own calls do), so only differences between
+    two such limits are meaningful."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    try:
+        for extra in itertools.count(1):
+            try:
+                # Raises RecursionError, too, below the current depth.
+                sys.setrecursionlimit(depth + extra)
+                call()
+                return extra
+            except RecursionError:
+                pass
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_unrank_takes_one_frame_per_tree_level():
+    # A caterpillar of 30 levels, each with two children.  A fresh table
+    # unranks it in unrank's frame plus one per level and one for the leaf,
+    # 32 in all, and Python 3.10 counts the deepest str.format call as one
+    # level more: as deep as a plain recursion of 33 frames at most.  A
+    # second frame per level with two children would need 30 more.
+    profile = ColorProfile(2, (30, 30))
+    text = "(1:(),2:" * 30 + "()" + ")" * 30
+    index = ProfileCountTable(2).rank(profile, text)
+    assert ProfileCountTable(2).unrank(profile, index) == text
+    unrank = frames_needed(lambda: ProfileCountTable(2).unrank(profile, index))
+    assert unrank <= frames_needed(lambda: nested(32))
 
 
 def test_unrank_reaches_past_the_decode_depth_limit():
