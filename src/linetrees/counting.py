@@ -10,7 +10,7 @@ Writing N for the count,
 Unranking realizes the same decomposition as a bijection from {0..N(p)-1}
 onto the canonical encodings of the trees with profile p (joined from the
 children's encodings, as the enumerator of :mod:`linetrees.trees` joins
-them, with ``encode`` and ``decode`` as the reference), in this fixed order:
+them), in this fixed order:
 
   * subsets S in ascending bitmask order, bit i-1 representing color i
     (so {1} < {2} < {1,2} < {3} < ...);
@@ -38,7 +38,9 @@ to pick S, unranks a single child directly, bisects the split ends to pick
 each q' and its mirror, and fills the node's template with the children's
 encodings, one frame per tree level; a subtree whose profile has at most
 ``_SMALL_COUNT`` trees comes from a per-profile memo filled on first use.
-Ranking (:meth:`ProfileCountTable.rank`) adds up the same prefix sums.
+Ranking (:meth:`ProfileCountTable.rank`) parses the encoding in one pass
+with an explicit stack and, as each vertex closes, adds up the same prefix
+sums from its children's profiles and indices.
 
 Sampling draws a uniform index below N(p) with a SplitMix64 generator and
 unranks it, so identical seeds reproduce identical trees on every platform.
@@ -51,7 +53,7 @@ from itertools import accumulate, chain, count, product, repeat
 from operator import add, lt, mul
 
 from .combinatorics import ColorProfile
-from .errors import DomainError, IndexOutOfRange
+from .errors import ColorError, ColorOrderError, DomainError, IndexOutOfRange, ParseError
 from .limits import check_colors
 
 _MASK64 = (1 << 64) - 1
@@ -306,37 +308,94 @@ class ProfileCountTable:
         """The index of the tree encoded by ``text`` among the trees with the
         given profile; the inverse of :meth:`unrank`.
 
-        Raises what ``decode(text, d)`` raises, and DomainError when the
-        tree's color profile differs from ``profile``.  ``decode`` recurses
-        and rejects text nested deeper than ``trees.MAX_DEPTH`` (450) edges
-        with ParseError, so a tree that :meth:`unrank` returns from about
-        451 to 950 levels deep does not rank; an iterative parser of the
-        text (ROADMAP item 7) would lift this limit.
+        One pass over the text with an explicit stack, so a tree of any
+        depth ranks.  The text must be a canonical encoding (grammar in
+        :mod:`linetrees.trees`): malformed syntax raises ParseError with its
+        byte offset, an out-of-range or duplicate color ColorError, and
+        children out of ascending color order ColorOrderError.  A tree of
+        another color profile raises DomainError once the whole text has
+        parsed.
         """
-        from .trees import decode, profile_counts
-
         p = self._check(profile)
-        tree = decode(text, self.d)
-        found = profile_counts(tree, self.d)
+        self._count(p)
+        d, end = self.d, len(text)
+        colors = {str(color): color for color in range(1, d + 1)}
+        # One entry per open vertex: the color of the child being read, and
+        # (color, profile vector, index) for each child closed so far.
+        stack: list[list] = []
+        pos = 0
+        while True:
+            # A tree starts at pos.
+            if pos >= end or text[pos] != "(":
+                raise ParseError("expected '('", pos)
+            pos += 1
+            if pos < end and text[pos] == ")":
+                pos += 1
+                done = ((0,) * d, 0)
+                # Close every vertex whose last child this leaf ends.
+                while stack:
+                    vertex = stack[-1]
+                    vertex[1].append((vertex[0], *done))
+                    if pos >= end:
+                        raise ParseError("unterminated vertex, expected ',' or ')'", pos)
+                    if text[pos] == ",":
+                        break
+                    if text[pos] != ")":
+                        raise ParseError("expected ',' or ')'", pos)
+                    pos += 1
+                    stack.pop()
+                    done = self._rank_vertex(vertex[1])
+                else:
+                    break
+                pos += 1
+            else:
+                stack.append([0, []])
+            # An entry starts at pos: a color, ':' and the child's tree.
+            vertex = stack[-1]
+            start = pos
+            while pos < end and "0" <= text[pos] <= "9":
+                pos += 1
+            digits = text[start:pos]
+            if not digits:
+                raise ParseError("expected a color (decimal digits)", pos)
+            if digits[0] == "0" and len(digits) > 1:
+                raise ParseError("a color has no leading zero", start)
+            # Looked up, not converted: int() refuses runs over 4300 digits.
+            color = colors.get(digits)
+            if color is None:
+                raise ColorError(f"color {digits} out of range 1..{d}")
+            if color == vertex[0]:
+                raise ColorError(f"duplicate color {color} among one vertex's children")
+            if color < vertex[0]:
+                raise ColorOrderError(f"children out of order: color {color} after {vertex[0]}")
+            vertex[0] = color
+            if pos >= end or text[pos] != ":":
+                raise ParseError("expected ':' after color", pos)
+            pos += 1
+        if pos != end:
+            raise ParseError("trailing characters after tree", pos)
+        found, index = done
         if found != p:
             raise DomainError(f"tree has profile {found}, expected {p}")
-        self._count(p)
-        return self._rank(tree)[1]
+        return index
 
-    def _rank(self, tree) -> tuple[tuple[int, ...], int]:
-        """Profile and index of a decoded ColoredTree whose profile is in the
-        memo."""
-        if not tree.children:
-            return (0,) * self.d, 0
-        ids, counts = self._ids, self._counts
-        parts, sub_indices = zip(*(self._rank(child) for _, child in tree.children))
+    def _rank_vertex(self, children: list[tuple]) -> tuple[tuple[int, ...], int | None]:
+        """Profile vector and index of a vertex, from the (color, profile
+        vector, index) of each child in ascending color order.  The index is
+        None when the vector is not in the memo: a tree with a vertex above
+        the ranked profile does not have that profile.  Every vector below
+        one in the memo is in it, so a vertex in the memo has indexed
+        children."""
+        colors, parts, sub_indices = zip(*children)
         remainder = tuple(map(sum, zip(*parts)))
-        p = list(remainder)
-        for color, _ in tree.children:
-            p[color - 1] += 1
+        p = tuple(n + (color in colors) for color, n in enumerate(remainder, 1))
+        ids, counts = self._ids, self._counts
+        block = self._blocks.get(ids.get(p))
+        if block is None:
+            return p, None
         # Each root subset S leaves its own remainder p - chi_S.
         remainder = ids[remainder]
-        choices, ends = self._blocks[ids[tuple(p)]]
+        choices, ends = block
         k = [chosen for _, _, chosen in choices].index(remainder)
         index = ends[k - 1] if k else 0
         prefix = 1
@@ -350,7 +409,7 @@ class ProfileCountTable:
         sub = 0
         for q, sub_index in zip(parts, sub_indices):
             sub = sub * counts[ids[q]] + sub_index
-        return tuple(p), index + sub
+        return p, index + sub
 
     def sample_uniform(self, request: SampleRequest) -> list[str]:
         """Draw ``request.count`` tree encodings independently and uniformly.

@@ -221,26 +221,3 @@ def rouche_isolation_check(
         inside_count=inside_count,
         principal_root=inside[0][0] if inside_count == 1 else None,
     )
-
-
-def d2_closed_form(g1: complex, g2: complex) -> tuple[complex, complex]:
-    """The two roots of Q at d=2, principal root first.
-
-    With s = 1 - g1 - g2 and disc = sqrt(s^2 - 4 g1 g2) (principal branch),
-    the roots are (s -+ disc) / (2 g1 g2); the minus combination tends to 1
-    as g -> 0.  Each root is evaluated in its rationalized form
-    (r_- * r_+ = 1/(g1 g2)) so the subtractive cancellation near g = 0
-    never degrades the small root.
-    """
-    g1 = complex(g1)
-    g2 = complex(g2)
-    product = g1 * g2
-    if product == 0:
-        raise DegenerateError("g1 * g2 must be nonzero; use roots_all after deflation")
-    s = 1 - g1 - g2
-    disc = cmath.sqrt(s * s - 4 * product)
-    plus = s + disc
-    minus = s - disc
-    if abs(plus) >= abs(minus):
-        return 2 / plus, plus / (2 * product)
-    return minus / (2 * product), 2 / minus

@@ -11,15 +11,17 @@ Canonical encoding grammar (a stable text format, also used by the CLI):
     entry := color ":" tree
     color := decimal integer >= 1, ASCII digits without a leading zero
 
-Children are written in strictly ascending color order; ``decode`` rejects
-any other order, so ``encode`` is injective and ``decode(encode(t)) == t``.
+Children are written in strictly ascending color order, so each tree has
+exactly one encoding and distinct trees have distinct encodings.
+:meth:`linetrees.counting.ProfileCountTable.rank` accepts only this
+canonical text.
 
 The enumerator works on encodings alone: it fills one template per set of
 root colors, such as ``"(1:{},3:{})"``, with its children's finished
 encodings and yields plain strings, building no ``ColoredTree``; the
-unranker of :mod:`linetrees.counting` builds none either.  ``encode``
-and ``decode`` are the reference the enumerated and unranked strings are
-tested against.
+unranker of :mod:`linetrees.counting` builds none either.  ``ColoredTree``
+and ``encode`` turn trees built as objects into text; the tests build their
+reference trees with them.
 """
 
 from __future__ import annotations
@@ -29,12 +31,8 @@ from collections import Counter
 from typing import Iterator
 
 from .combinatorics import ColorProfile, profiles_with_total
-from .errors import ColorError, ColorOrderError, DomainError, ParseError
+from .errors import DomainError
 from .limits import check_colors
-
-# Deepest vertex, in edges from the root, that decode accepts; decode and rank
-# recurse once or twice per level, and Python allows 1000 frames by default.
-MAX_DEPTH = 450
 
 
 class ColoredTree:
@@ -43,8 +41,8 @@ class ColoredTree:
     ``children`` holds (color, subtree) pairs; construction sorts them by
     ascending color.  Trees compare and hash by their canonical encoding,
     so structurally equal trees are equal, however deep.  Validity
-    (distinct colors in range at every vertex) is not enforced here;
-    :func:`decode` checks it.  Treat an instance as immutable.
+    (distinct colors in range at every vertex) is not enforced.  Treat an
+    instance as immutable.
     """
 
     __slots__ = ("children",)
@@ -62,21 +60,6 @@ class ColoredTree:
 
     def __repr__(self):
         return f"<ColoredTree {encode(self)}>"
-
-
-def profile_counts(tree: ColoredTree, d: int) -> tuple[int, ...]:
-    """Per-color edge counts of a valid tree, as a length-d tuple."""
-    counts = [0] * d
-
-    def walk(node: ColoredTree) -> None:
-        for color, child in node.children:
-            if not 1 <= color <= d:
-                raise ColorError(f"color {color} out of range 1..{d}")
-            counts[color - 1] += 1
-            walk(child)
-
-    walk(tree)
-    return tuple(counts)
 
 
 def encode(tree: ColoredTree) -> str:
@@ -100,68 +83,6 @@ def encode(tree: ColoredTree) -> str:
             stack.append(child)
             stack.append(f",{color}:" if i else f"{color}:")
     return "".join(out)
-
-
-def decode(text: str, d: int) -> ColoredTree:
-    """Parse a canonical encoding, enforcing the grammar and canonical order.
-
-    Raises ParseError (with byte offset) on malformed syntax or nesting
-    deeper than MAX_DEPTH, ColorError on out-of-range or duplicate colors,
-    and ColorOrderError when children are not in ascending color order.
-    """
-    tree, pos = _parse_tree(text, 0, d, 0)
-    if pos != len(text):
-        raise ParseError("trailing characters after tree", pos)
-    return tree
-
-
-def _parse_tree(text: str, pos: int, d: int, depth: int) -> tuple[ColoredTree, int]:
-    if pos >= len(text) or text[pos] != "(":
-        raise ParseError("expected '('", pos)
-    if depth > MAX_DEPTH:
-        raise ParseError(f"nesting deeper than {MAX_DEPTH} edges", pos)
-    pos += 1
-    if pos < len(text) and text[pos] == ")":
-        return ColoredTree(), pos + 1
-    entries: list[tuple[int, ColoredTree]] = []
-    previous_color = 0
-    while True:
-        color, pos = _parse_color(text, pos, d)
-        if color == previous_color:
-            raise ColorError(f"duplicate color {color} among one vertex's children")
-        if color < previous_color:
-            raise ColorOrderError(
-                f"children out of order: color {color} after {previous_color}"
-            )
-        previous_color = color
-        if pos >= len(text) or text[pos] != ":":
-            raise ParseError("expected ':' after color", pos)
-        child, pos = _parse_tree(text, pos + 1, d, depth + 1)
-        entries.append((color, child))
-        if pos >= len(text):
-            raise ParseError("unterminated vertex, expected ',' or ')'", pos)
-        if text[pos] == ",":
-            pos += 1
-            continue
-        if text[pos] == ")":
-            return ColoredTree(tuple(entries)), pos + 1
-        raise ParseError("expected ',' or ')'", pos)
-
-
-def _parse_color(text: str, pos: int, d: int) -> tuple[int, int]:
-    # ASCII digits only: str.isdigit() also admits superscripts and the
-    # digits of other scripts, which int() then rejects or reads.
-    start = pos
-    while pos < len(text) and "0" <= text[pos] <= "9":
-        pos += 1
-    if pos == start:
-        raise ParseError("expected a color (decimal digits)", pos)
-    if text[start] == "0" and pos - start > 1:
-        raise ParseError("a color has no leading zero", start)
-    color = int(text[start:pos])
-    if color < 1 or color > d:
-        raise ColorError(f"color {color} out of range 1..{d}")
-    return color, pos
 
 
 def enumerate_by_lines(d: int, max_lines: int) -> Iterator[str]:

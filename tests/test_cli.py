@@ -24,7 +24,8 @@ from linetrees.counting import ProfileCountTable, SampleRequest
 from linetrees.errors import RootFindingFailure
 from linetrees.limits import CAPS
 from linetrees.roots import build_char_polynomial, roots_all
-from linetrees.trees import ColoredTree, decode, enumerate_by_lines
+from linetrees.trees import ColoredTree, enumerate_by_lines
+from reference_trees import decode
 
 
 def run(capsys, *argv):
@@ -871,6 +872,8 @@ BIG = "1" + "0" * 2200
         (("sample", "--d", "4", "--profile", "3,3,3,2", "--count", "3"), 3),
         # a level below 1 is a usage error
         (("count", "--d", "2", "--profile", "1,1", "--n", "0"), 2),
+        # g_2 = 0 deflates the d=2 polynomial to a constant, which has no roots
+        (("roots", "--d", "2", "--g=1,0"), 2),
     ],
 )
 def test_caps_and_invalid_values(capsys, argv, code):

@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 
 from linetrees.combinatorics import ColorProfile, closed_form_count, profiles_with_total
 from linetrees.counting import ProfileCountTable, SampleRequest, SplitMix64
-from linetrees.errors import ColorError, ColorOrderError, DomainError, IndexOutOfRange, ParseError
-from linetrees.trees import (
-    MAX_DEPTH,
-    ColoredTree,
-    decode,
-    encode,
-    enumerate_by_lines,
-    profile_counts,
+from linetrees.errors import (
+    ColorError,
+    ColorOrderError,
+    DomainError,
+    IndexOutOfRange,
+    LineTreesError,
+    ParseError,
 )
+from linetrees.trees import ColoredTree, encode, enumerate_by_lines
+from reference_trees import MAX_DEPTH, decode, profile_counts
 
 
 def brute_force_sets(d, max_total):
@@ -405,9 +406,6 @@ def test_rank_rejects_invalid_or_foreign_trees():
         table.rank(profile, "(1:(1:()))")
     with pytest.raises(DomainError, match="profile has d=3, table has d=2"):
         table.rank(ColorProfile(3, (1, 1, 0)), "(1:(2:()))")
-    with pytest.raises(ParseError) as exc:  # nested deeper than MAX_DEPTH
-        table.rank(ColorProfile(2, (1200, 0)), "(1:" * 1200 + "()" + ")" * 1200)
-    assert exc.value.offset == 3 * (MAX_DEPTH + 1)
 
 
 def test_rank_inverts_unrank_on_a_chain_of_max_depth():
@@ -419,17 +417,123 @@ def test_rank_inverts_unrank_on_a_chain_of_max_depth():
     assert table.rank(profile, text) == 0
 
 
-def test_rank_stops_at_the_decode_depth_limit_that_unrank_passes():
-    # rank parses with decode, which stops at MAX_DEPTH edges; unrank goes
-    # about twice as deep.  Every tree of MAX_DEPTH edges ranks, and a chain
-    # of one edge more, which unranks, does not.
+def deepest_unranked_chain():
+    """The most edges a chain of color 1 can have and still unrank on a
+    fresh table under the current recursion limit."""
+    ranks, fails = 0, sys.getrecursionlimit()  # one frame per level at least
+    while fails - ranks > 1:
+        edges = (ranks + fails) // 2
+        try:
+            ProfileCountTable(2).unrank(ColorProfile(2, (edges, 0)), 0)
+            ranks = edges
+        except RecursionError:
+            fails = edges
+    return ranks
+
+
+def test_rank_inverts_unrank_at_every_depth_unrank_reaches():
     table = ProfileCountTable(2)
-    profile = ColorProfile(2, (MAX_DEPTH - 1, 1))
-    for index in (0, table.recursive_count(profile) - 1):
+    profile = ColorProfile(2, (699, 1))
+    n = table.recursive_count(profile)
+    for index in (0, 1, n // 2, n - 2, n - 1):
         assert table.rank(profile, table.unrank(profile, index)) == index
-    deeper = ColorProfile(2, (MAX_DEPTH + 1, 0))
-    with pytest.raises(ParseError):
-        table.rank(deeper, table.unrank(deeper, 0))
+    edges = deepest_unranked_chain()
+    assert edges > 900
+    deepest = ColorProfile(2, (edges, 0))
+    assert table.rank(deepest, table.unrank(deepest, 0)) == 0
+
+
+def test_rank_takes_a_chain_of_5000_edges():
+    # The parser keeps its open vertices on a list, not on Python's stack,
+    # so this runs under the default recursion limit of 1000 frames.
+    assert ProfileCountTable(2).rank(ColorProfile(2, (5000, 0)), "(1:" * 5000 + "()" + ")" * 5000) == 0
+
+
+def reference_error(d, profile, text):
+    """What rank must raise by the reference: decode's error, else the
+    profile check's, else None."""
+    try:
+        found = profile_counts(decode(text, d), d)
+    except LineTreesError as error:
+        return error
+    if found != profile.counts:
+        return DomainError(f"tree has profile {found}, expected {profile.counts}")
+    return None
+
+
+def assert_rank_matches_reference(table, profile, text):
+    """rank raises the reference's error class with the same message and
+    offset, or, where the reference raises nothing, returns the index that
+    unranks to ``text``."""
+    expected = reference_error(table.d, profile, text)
+    if expected is None:
+        assert table.unrank(profile, table.rank(profile, text)) == text
+        return
+    with pytest.raises(LineTreesError) as exc:
+        table.rank(profile, text)
+    assert type(exc.value) is type(expected)
+    assert str(exc.value) == str(expected)
+    assert getattr(exc.value, "offset", None) == getattr(expected, "offset", None)
+
+
+# The rejection cases of the reference decode's tests, at their d (d=1 has
+# no table), and misplaced separators.
+@pytest.mark.parametrize(
+    "d,text",
+    [
+        (2, "(2:(),1:())"), (2, "(1:(),1:())"), (2, "(3:())"), (2, "(0:())"),
+        *((3, text) for text in [
+            "", "(", "(1:()", "()x", "(1())", "(1:()))", "(:())",
+            "(²:())", "(٣:())", "(01:())", "(1:()x",
+            "(1:(),,2:())", "(1:(),)", "(,1:())", "(1:():)", "(1::())",
+        ]),
+    ],
+)
+def test_rank_raises_what_the_reference_raises_on_each_rejection_case(d, text):
+    assert_rank_matches_reference(ProfileCountTable(d), ColorProfile(d, (1,) * d), text)
+
+
+def test_a_color_too_long_for_int_is_out_of_range():
+    # int() refuses a run of more than 4300 digits with ValueError.
+    text = "(" + "9" * 5000 + ":())"
+    message = f"color {'9' * 5000} out of range 1..3"
+    with pytest.raises(ColorError) as exc:
+        ProfileCountTable(3).rank(ColorProfile(3, (1, 0, 0)), text)
+    assert str(exc.value) == message
+    with pytest.raises(ColorError) as exc:
+        decode(text, 3)
+    assert str(exc.value) == message
+
+
+ALPHABET = "()0123456789:,²٣"
+
+
+@st.composite
+def ranked_texts(draw):
+    """A table, a profile and a text: either any text over the alphabet of
+    the reference decode's property test, or the encoding of a tree of a
+    small profile with up to three characters inserted, deleted or
+    replaced."""
+    d = draw(st.integers(2, 4))
+    profile = ColorProfile(d, tuple(draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))))
+    table = ProfileCountTable(d)
+    if draw(st.booleans()):
+        return table, profile, draw(st.text(alphabet=ALPHABET))
+    source = draw(st.sampled_from([profile, ColorProfile(d, (1,) * d), ColorProfile(d, (2,) + (0,) * (d - 1))]))
+    text = table.unrank(source, draw(st.integers(0, table.recursive_count(source) - 1)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(ALPHABET))
+        text = draw(st.sampled_from([
+            text[:at] + char + text[at:], text[:at] + text[at + 1:], text[:at] + char + text[at + 1:]
+        ]))
+    return table, profile, text
+
+
+@given(ranked_texts())
+@settings(max_examples=500, deadline=None)
+def test_rank_raises_what_the_reference_raises(case):
+    assert_rank_matches_reference(*case)
 
 
 def nested(levels):

@@ -13,11 +13,33 @@ from linetrees.roots import (
     CharPolynomial,
     _cluster,
     build_char_polynomial,
-    d2_closed_form,
     roots_all,
     rouche_isolation_check,
 )
 from linetrees.series import solve_tree_equation
+
+
+def d2_closed_form(g1: complex, g2: complex) -> tuple[complex, complex]:
+    """The two roots of Q at d=2, principal root first: the d=2 oracle.
+
+    With s = 1 - g1 - g2 and disc = sqrt(s^2 - 4 g1 g2) (principal branch),
+    the roots are (s -+ disc) / (2 g1 g2); the minus combination tends to 1
+    as g -> 0.  Each root is evaluated in its rationalized form
+    (r_- * r_+ = 1/(g1 g2)) so the subtractive cancellation near g = 0
+    never degrades the small root.
+    """
+    g1 = complex(g1)
+    g2 = complex(g2)
+    product = g1 * g2
+    if product == 0:
+        raise DegenerateError("g1 * g2 must be nonzero; use roots_all after deflation")
+    s = 1 - g1 - g2
+    disc = cmath.sqrt(s * s - 4 * product)
+    plus = s + disc
+    minus = s - disc
+    if abs(plus) >= abs(minus):
+        return 2 / plus, plus / (2 * product)
+    return minus / (2 * product), 2 / minus
 
 
 def quadratic_roots(g1, g2):

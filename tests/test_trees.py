@@ -1,4 +1,5 @@
-"""Tests for the tree structure, canonical encoding, and brute-force enumeration."""
+"""Tests for the tree structure, canonical encoding, and brute-force enumeration,
+and for the reference parser ``reference_trees.decode``."""
 
 import itertools
 from collections import Counter
@@ -15,16 +16,9 @@ from linetrees.combinatorics import (
 )
 from linetrees.errors import ColorError, ColorOrderError, DomainError, LineTreesError, ParseError
 from linetrees.limits import CAPS, MAX_COLORS
-from linetrees.trees import (
-    MAX_DEPTH,
-    ColoredTree,
-    count_by_profile_bruteforce,
-    decode,
-    encode,
-    enumerate_by_lines,
-    profile_counts,
-)
+from linetrees.trees import ColoredTree, count_by_profile_bruteforce, encode, enumerate_by_lines
 from linetrees.verification import verify_oracle
+from reference_trees import MAX_DEPTH, decode, profile_counts
 
 LEAF = ColoredTree()
 
