@@ -29,15 +29,16 @@ below q comes earlier.  For each new q it records, per admissible S (the
 submasks of q's support, ascending), the node's ``str.format`` template, |S|
 and q - chi_S, with the cumulative ends of their index blocks.  For each
 k >= 2 that a profile <= p can need, it makes S_k(q) = sum over q' <= q of
-N(q') * S_{k-1}(q - q') in one split record per q: the box of q, read off
-the walk by position, in which q - q' is the mirror entry ``box[~j]`` of
-``q' = box[j]``, and per k the cumulative sums behind S_k(q).  A shared
-table extends such a record to the k a larger profile needs, and skips the
-part of the box below a counted p - e_i.  Unranking bisects the block ends
-to pick S, unranks a single child directly, bisects the split ends to pick
-each q' and its mirror, and fills the node's template with the children's
-encodings, one frame per tree level; a subtree whose profile has at most
-``_SMALL_COUNT`` trees comes from a per-profile memo filled on first use.
+N(q') * S_{k-1}(q - q') in one split record per q: the box of q (the ids
+of every q' <= q in lexicographic order), in which q - q' is the mirror
+entry ``box[~j]`` of ``q' = box[j]``, and per k the cumulative sums behind
+S_k(q).  A shared table extends such a record to the k a larger profile
+needs, and skips the part of the box below a counted p - e_i.  Unranking
+bisects the block ends to pick S, unranks a single child directly, bisects
+the split ends to pick each q' and its mirror, and fills the node's template
+with the children's encodings, one frame per tree level; a subtree whose
+profile has at most ``_SMALL_COUNT`` trees comes from a per-profile memo
+filled on first use.
 Ranking (:meth:`ProfileCountTable.rank`) parses the encoding in one pass
 with an explicit stack and, as each vertex closes, adds up the same prefix
 sums from its children's profiles and indices.
@@ -49,8 +50,8 @@ unranks it, so identical seeds reproduce identical trees on every platform.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, chain, count, product, repeat
-from operator import add, lt, mul
+from itertools import accumulate, count, product
+from operator import lt, mul
 
 from .combinatorics import ColorProfile
 from .errors import ColorError, ColorOrderError, DomainError, IndexOutOfRange, ParseError
@@ -224,17 +225,7 @@ class ProfileCountTable:
             if need > 1:
                 record = splits.get(q)
                 if record is None:
-                    if not any(low):
-                        # The box of q is in the walk, one run of q_d + 1
-                        # entries per q'_1..q'_{d-1} <= q_1..q_{d-1}.
-                        starts = list(map(sum, product(*[
-                            range(0, (n + 1) * stride, stride) for n, stride in zip(v[:-1], strides)
-                        ])))
-                        box = tuple(chain.from_iterable(map(walk.__getitem__, map(
-                            slice, starts, map(add, starts, repeat(v[-1] + 1))
-                        ))))
-                    else:
-                        box = tuple(map(ids.__getitem__, product(*[range(n + 1) for n in v])))
+                    box = tuple(map(ids.__getitem__, product(*[range(n + 1) for n in v])))
                     record = splits[q] = (box, [None, None])
                 box, split_ends = record
                 # q - q' runs through the box backwards while q' runs forward.

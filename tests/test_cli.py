@@ -22,7 +22,7 @@ from linetrees.cli import VERIFY_KINDS, _build_parser, main
 from linetrees.combinatorics import ColorProfile
 from linetrees.counting import ProfileCountTable, SampleRequest
 from linetrees.errors import RootFindingFailure
-from linetrees.limits import CAPS
+from linetrees.limits import CAPS, MAX_COLORS
 from linetrees.roots import build_char_polynomial, roots_all
 from linetrees.trees import ColoredTree, enumerate_by_lines
 from reference_trees import decode
@@ -56,6 +56,14 @@ def test_count_counts_are_decimal_strings(capsys):
     assert code == 0
     assert isinstance(doc["count"], str)
     assert int(doc["count"]) > 2**64
+
+
+def test_numbers_are_read_by_python_int(capsys):
+    # The documented lenient grammar: Unicode decimal digits, '_' between
+    # digits and surrounding spaces.
+    code, out, _ = run(capsys, "count", "--d", "\u0662", "--profile", " 3,1_0")
+    assert code == 0
+    assert json.loads(out) == {"profile": [3, 10], "n": 1, "count": "26026"}
 
 
 def test_count_profile_length_mismatch_exits_2(capsys):
@@ -457,6 +465,38 @@ def test_roots_zero_residual_tol_exits_4(capsys):
     code, _, err = run(capsys, "roots", "--d", "2", "--g", "0.1,0.1", "--residual-tol", "0")
     assert code == 4
     assert "residual" in err
+
+
+def test_roots_zero_residual_tol_accepts_an_exact_root(capsys):
+    # At g = 0, Q deflates to 1 - x, whose root 1 has residual exactly 0:
+    # the bound |Q(r)| <= residual_tol * scale holds with equality.
+    code, out, _ = run(capsys, "roots", "--d", "2", "--g=0,0", "--residual-tol", "0")
+    assert code == 0
+    assert json.loads(out)["residual_max"] == 0.0
+
+
+def test_roots_judged_at_1_over_r_take_no_newton_step(capsys, monkeypatch):
+    """At g = (0.07, 0.07, 2e-158) Q has a root near -5e157, where sum_k
+    |c_k| |r|^k overflows, so it is judged at 1/r.  The companion matrix is
+    made to return it 1e-9 off, relative: that fails the bound at 1/r, and
+    roots exits 4, although one Newton step on Q would bring the root back.
+    An unperturbed root misses that bound only in its last bits (as at
+    0.05,0.06,7e-159 with --residual-tol 1e-17), which depend on the LAPACK
+    build, so the root is perturbed instead."""
+    import numpy as np
+
+    exact = np.roots
+
+    def off(coeffs):
+        found = exact(coeffs)
+        found[np.argmax(abs(found))] *= 1 + 1e-9
+        return found
+
+    monkeypatch.setattr(np, "roots", off)
+    code, out, err = run(capsys, "roots", "--d", "3", "--g=0.07,0.07,2e-158")
+    assert (code, out) == (4, "")
+    match = re.fullmatch(r"error: root residual \S+ exceeds 1\.0e-10 \* (\S+)\n", err)
+    assert match and float(match[1]) < 1e-150, err  # the scale at 1/r
 
 
 @pytest.mark.parametrize(
@@ -894,10 +934,14 @@ def test_count_at_its_caps_prints_the_largest_count(capsys):
     assert len(json.loads(out)["count"]) == 1613
 
 
-# Fuzzed argv: d is 2..4, other values are small integers (one per color for
-# --profile and --g), and at most one value or list entry is replaced by a
-# wild one: zero, negative, huge, near underflow, non-finite or not a number.
+# Fuzzed argv: d is 2..MAX_COLORS, other values are small integers (|g_i|
+# from 9 down to 1e-300 for --g, one per color for --profile and --g), and
+# at most one value or list entry is replaced by a wild one: 0, -1, one above
+# its cap, huge, non-finite or not a number.  Exact cap values are left to
+# the boundary tests above, which keeps this test to a few seconds.
 SMALL = st.integers(1, 4).map(str)
+COORDINATE = st.builds("{}{}e-{}".format, st.sampled_from(["", "-"]), st.integers(1, 9),
+                       st.integers(0, 300))
 WILD = st.sampled_from(
     ["0", "-1", "-7", "1" + "0" * 400, BIG, "1e400", "1e-300",
      "nan", "inf", "-inf", "0.5", "x", ""]
@@ -911,6 +955,31 @@ FLAGS = {
     "sample": ["--profile", "--count", "--seed"],
     **{f"verify {kind}": list(flags) for kind, (flags, _) in VERIFY_KINDS.items()},
 }
+# The CAPS key that bounds each capped flag (a profile's entries bound its
+# total); --d is bounded by MAX_COLORS.
+CAP_KEYS = {
+    "count": {"--profile": "count profile total", "--n": "level"},
+    "enumerate": {"--max-lines": "max_lines"},
+    "series": {"--order": "order", "--n": "level"},
+    "sample": {"--profile": "profile total", "--count": "sample count"},
+    "verify recursion": {"--order": "order", "--n-max": "n_max"},
+    "verify geometric": {"--order": "order", "--n-max": "n_max"},
+    "verify convolution": {"--order": "order", "--n": "level", "--m": "level"},
+    "verify fuss-catalan": {"--order": "fuss-catalan order"},
+    "verify narayana": {"--order": "narayana order"},
+    "verify oracle": {"--order": "max_lines"},
+}
+
+
+def above_cap(command, flag, d):
+    """The value one above the cap of ``flag``, or None if it has none."""
+    if flag == "--d":
+        return MAX_COLORS + 1
+    key = CAP_KEYS.get(command, {}).get(flag)
+    if key is None:
+        return None
+    cap = CAPS[key]
+    return (cap[d] if isinstance(cap, dict) else cap) + 1
 
 
 @st.composite
@@ -919,16 +988,19 @@ def cli_argv(draw):
     argv = command.split()
     if draw(st.integers(0, 3)):
         argv.append(f"--format={draw(st.sampled_from(['json', 'csv', 'text']))}")
-    d = draw(st.integers(2, 4))
+    d = draw(st.integers(2, MAX_COLORS))
     flags = ["--d", *FLAGS[command]]
     wild = draw(st.sampled_from([None, *flags]))
     for flag in flags:
         if flag != wild and not draw(st.integers(0, 5)):
             continue
         size = d if flag in LISTS else 1
-        values = [str(d)] if flag == "--d" else draw(st.lists(SMALL, min_size=size, max_size=size))
+        value = COORDINATE if flag == "--g" else SMALL
+        values = [str(d)] if flag == "--d" else draw(st.lists(value, min_size=size, max_size=size))
         if flag == wild:
-            values[draw(st.integers(0, len(values) - 1))] = draw(WILD)
+            above = above_cap(command, flag, d)
+            choices = WILD if above is None else st.one_of(WILD, st.just(str(above)))
+            values[draw(st.integers(0, len(values) - 1))] = draw(choices)
         argv.append(f"{flag}={','.join(values)}")
     return argv
 
@@ -936,14 +1008,23 @@ def cli_argv(draw):
 @given(cli_argv())
 @settings(max_examples=300, deadline=None)
 def test_fuzz_main_exits_with_a_documented_code(argv):
+    """Every argv exits 0, 2, 3 or 4: exit 1 reports a failing verify, and a
+    correct build fails none.  An exit other than 0 writes nothing on stdout
+    and exactly one ``error:`` line on stderr (argparse's usage may come
+    before it); json output parses line by line."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code in {0, 1, 2, 3, 4}
-    if code == 0 and not {"--format=csv", "--format=text"} & set(argv):
+    assert code in {0, 2, 3, 4}
+    if code:
+        assert out.getvalue() == ""
+        assert [line for line in err.getvalue().splitlines() if "error:" in line] == [
+            err.getvalue().splitlines()[-1]
+        ]
+    elif not {"--format=csv", "--format=text"} & set(argv):
         for line in out.getvalue().splitlines():
             json.loads(line)
 

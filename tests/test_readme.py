@@ -3,6 +3,7 @@
 import re
 from pathlib import Path
 
+from linetrees.cli import VERIFY_KINDS
 from linetrees.limits import CAPS, MAX_COLORS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -28,8 +29,9 @@ def format_cap(cap):
     return ", ".join(parts)
 
 
-def caps_table_rows():
-    section = README.split("## Budgets and caps", 1)[1]
+def table_rows(heading):
+    """The body rows of the first table after ``heading``, as lists of cells."""
+    section = README.split(heading, 1)[1]
     rows = []
     for line in section.splitlines():
         if line.startswith("|"):
@@ -41,13 +43,19 @@ def caps_table_rows():
 
 def test_readme_caps_table_matches_caps():
     seen = set()
-    for limit, cap, _ in caps_table_rows():
+    for limit, cap, _ in table_rows("## Budgets and caps"):
         keys = [name for name in re.findall(r"`([^`]+)`", limit) if name in CAPS]
         assert len(keys) <= 1, limit
         for key in keys:
             assert cap == format_cap(CAPS[key]), key
             seen.add(key)
     assert seen == set(CAPS)
+
+
+def test_readme_verify_table_lists_every_kind():
+    """One row per verify kind, in the order ``cli.VERIFY_KINDS`` holds them."""
+    rows = table_rows("### What each `verify` kind compares")
+    assert [kind.strip("`") for kind, _, _ in rows] == list(VERIFY_KINDS)
 
 
 def test_readme_library_example_runs():
