@@ -13,10 +13,9 @@ verify_* functions compare the two routes coefficient by coefficient.
 
 Coefficients are arbitrary-precision integers throughout; truncation is by
 total degree, so every identity checked here is closed under it.
-`MultiSeries` offers construction that truncates (and `constant`), `+`,
-series x series `*`, `coefficient`, `items_sorted`, `evaluate` (the plain
-sum of its terms at a point) and `to_json_obj`; both operands of `+` and `*`
-must share d and order.
+`MultiSeries` offers construction that truncates, series x series `*`,
+`coefficient`, `items_sorted`, `evaluate` (the plain sum of its terms at a
+point) and `to_json_obj`; both operands of `*` must share d and order.
 Products work degree by degree: a pair of terms whose total degree exceeds
 the order is never formed.
 """
@@ -71,10 +70,6 @@ class MultiSeries:
     def __repr__(self):
         return f"MultiSeries({self.d}, {self.order}, {self.coeffs!r})"
 
-    @classmethod
-    def constant(cls, d: int, order: int, value: int = 1) -> "MultiSeries":
-        return cls(d, order, {(0,) * d: value})
-
     def coefficient(self, exponents: Sequence[int]) -> int:
         return self.coeffs.get(tuple(exponents), 0)
 
@@ -90,13 +85,6 @@ class MultiSeries:
                 f"shape mismatch: (d={self.d}, order={self.order}) vs "
                 f"(d={other.d}, order={other.order})"
             )
-
-    def __add__(self, other: "MultiSeries") -> "MultiSeries":
-        self._require_same_shape(other)
-        out = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            out[key] = out.get(key, 0) + value
-        return MultiSeries(self.d, self.order, out)
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
         self._require_same_shape(other)
@@ -147,22 +135,6 @@ def _accumulate(out: dict[tuple[int, ...], int], left: _Terms, right: _Terms) ->
             out[key] = get(key, 0) + ca * cb
 
 
-def elementary_symmetric_series(d: int, order: int) -> list[MultiSeries]:
-    """The elementary symmetric polynomials e_0=1, e_1, ..., e_d as series.
-
-    e_k is the sum of all squarefree degree-k monomials; with order < k it
-    truncates to zero.
-    """
-    out = [MultiSeries.constant(d, order, 1)]
-    for k in range(1, d + 1):
-        coeffs: dict[tuple[int, ...], int] = {}
-        for subset in itertools.combinations(range(d), k):
-            key = tuple(1 if i in subset else 0 for i in range(d))
-            coeffs[key] = 1
-        out.append(MultiSeries(d, order, coeffs))
-    return out
-
-
 def solve_tree_equation(d: int, order: int) -> MultiSeries:
     """Unique series solution with constant term 1 of F = sum_k e_k F^k.
 
@@ -178,7 +150,12 @@ def solve_tree_equation(d: int, order: int) -> MultiSeries:
     convergence test.
     """
     check_colors(d)
-    elementary = [list(e.coeffs.items()) for e in elementary_symmetric_series(d, order)]
+    # e_k as its terms: one squarefree monomial per k-set of colors.
+    elementary = [
+        [(tuple(int(i in subset) for i in range(d)), 1)
+         for subset in itertools.combinations(range(d), k)]
+        for k in range(d + 1)
+    ]
     # powers[k][m] holds the terms of [F^k]_m; powers[1] is F itself.
     powers = [[elementary[0]] for _ in range(d + 1)]
     for m in range(1, order + 1):
@@ -215,19 +192,39 @@ def _collect_mismatches(
 
 def verify_linear_recursion(d: int, n_max: int, order: int) -> VerificationReport:
     """Check F_{n+1} = F_n + sum_{k=1..d} e_k F_{n+k} for n = 0..n_max,
-    with every F_m built from the closed form (F_0 = 1)."""
+    with every F_m built from the closed form (F_0 = 1).
+
+    The right side needs no series product.  e_k is the sum of the
+    squarefree monomials g^chi_S over the k-sets S of colors, so the
+    coefficient of e_k F_{n+k} at p is the sum of [F_{n+k}]_{p - chi_S}
+    over those S, and a shift with a negative entry is zero: only the sets
+    inside the support of p count.  Summed over k, the right side at p is
+    [F_n]_p plus [F_{n+|S|}]_{p - chi_S} over the nonempty S in the
+    support of p.  Each shifted profile has a smaller total than p, so
+    truncation at ``order`` loses none of them.  Every profile of total
+    <= order is checked once per n, in graded lexicographic order; a
+    coefficient missing from a level reads as zero.
+    """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    elementary = elementary_symmetric_series(d, order)
-    levels = {0: MultiSeries.constant(d, order, 1)}
-    for m in range(1, n_max + d + 1):
-        levels[m] = closed_form_series(d, m, order)
+    levels = [{(0,) * d: 1}]
+    levels += [closed_form_series(d, m, order).coeffs for m in range(1, n_max + d + 1)]
+    profiles = [p for total in range(order + 1) for p in profiles_with_total(d, total)]
+    # rhs[n] lists the right side at each profile, in the order of profiles.
+    rhs: list[list[int]] = [[] for _ in range(n_max + 1)]
+    for p in profiles:
+        support = [i for i, e in enumerate(p) if e]
+        shifts = [
+            (k, tuple(e - (i in subset) for i, e in enumerate(p)))
+            for k in range(1, len(support) + 1)
+            for subset in itertools.combinations(support, k)
+        ]
+        for n, column in enumerate(rhs):
+            column.append(levels[n].get(p, 0) + sum(levels[n + k].get(q, 0) for k, q in shifts))
     report = VerificationReport("recursion", d, {"n_max": n_max, "order": order})
-    for n in range(n_max + 1):
-        rhs = levels[n]
-        for k in range(1, d + 1):
-            rhs = rhs + elementary[k] * levels[n + k]
-        _collect_mismatches(report, levels[n + 1], rhs, {"n": n})
+    for n, column in enumerate(rhs):
+        for p, value in zip(profiles, column):
+            report.check({"n": n, "p": list(p)}, levels[n + 1].get(p, 0), value)
     return report
 
 

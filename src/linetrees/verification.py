@@ -6,13 +6,9 @@ every failing coefficient so callers (tests, CLI) can decide how to react.
 
 from __future__ import annotations
 
-from .combinatorics import (
-    ColorProfile,
-    closed_form_count,
-    fuss_catalan_total,
-    narayana,
-    profiles_with_total,
-)
+from operator import add
+
+from .combinatorics import ColorProfile, closed_form_count, fuss_catalan_total, profiles_with_total
 from .errors import DomainError
 
 
@@ -80,20 +76,59 @@ def verify_fuss_catalan_rows(d: int, p_max: int) -> VerificationReport:
     return report
 
 
+def _plus(a: list[int], b: list[int]) -> list[int]:
+    """Entrywise sum of two count lists of any lengths."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [*map(add, a, b), *a[len(b):]]
+
+
+def dyck_paths_by_peaks(n_max: int) -> list[list[int]]:
+    """``rows[n][k]``, the number of Dyck paths of semilength n with k peaks,
+    for n = 0..n_max, counted step by step, with no binomial.
+
+    One walk over 2 * n_max steps keeps, per height, the paths ending in an
+    up step and those ending in a down step (or empty), each as a count per
+    number of peaks; a down step after an up step closes a peak.  Heights
+    above the steps left are dropped, since no path returns from them, and
+    the paths back at height 0 after 2n steps give row n.
+    """
+    steps = 2 * n_max
+    # ups[h] and downs[h]: paths at height h whose last step is up, or down
+    # (or no step yet), as counts indexed by the number of peaks.
+    ups: list[list[int]] = [[]]
+    downs = [[1]]
+    rows = [[1]]
+    for step in range(1, steps + 1):
+        height = min(step, steps - step)
+        ups_before, downs_before = ups + [[], []], downs + [[], []]
+        ups = [[]] + [_plus(ups_before[h], downs_before[h]) for h in range(height)]
+        downs = [
+            _plus(downs_before[h + 1], [0, *ups_before[h + 1]]) for h in range(height + 1)
+        ]
+        if step % 2 == 0:
+            rows.append(downs[0])
+    return rows
+
+
 def verify_narayana_bridge(max_total: int) -> VerificationReport:
     """Check count(p1, p2) == N(p1+p2+1, p1+1) for all p1+p2 <= max_total.
 
-    Two colors only; the Narayana triangle is a two-color statement.
+    Two colors only; the Narayana triangle is a two-color statement.  N(n, k)
+    is counted as the Dyck paths of semilength n with k peaks (Deutsch,
+    "Dyck path enumeration", Discrete Math. 204, 1999), so the two sides
+    share no formula.
     """
     if max_total < 0:
         raise DomainError(f"max_total must be >= 0, got {max_total}")
+    rows = dyck_paths_by_peaks(max_total + 1)
     report = VerificationReport("narayana", 2, {"max_total": max_total})
     for total in range(max_total + 1):
         for p in profiles_with_total(2, total):
             report.check(
                 {"p": list(p)},
                 closed_form_count(ColorProfile(2, p), 1),
-                narayana(total + 1, p[0] + 1),
+                rows[total + 1][p[0] + 1],
             )
     return report
 

@@ -356,12 +356,16 @@ def test_verify_kinds_pass(capsys, argv):
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_failing_verify_lists_the_first_100_failures(capsys, monkeypatch, fmt):
-    """With ``narayana`` off by one, each of the 231 profiles of total <= 20
-    fails; the output counts them all and lists the first 100."""
+    """With every Dyck path count off by one, each of the 231 profiles of
+    total <= 20 fails; the output counts them all and lists the first 100."""
     from linetrees import verification
 
-    right = verification.narayana
-    monkeypatch.setattr(verification, "narayana", lambda n, k: right(n, k) + 1)
+    right = verification.dyck_paths_by_peaks
+    monkeypatch.setattr(
+        verification,
+        "dyck_paths_by_peaks",
+        lambda n_max: [[c + 1 for c in row] for row in right(n_max)],
+    )
     code, out, _ = run(capsys, "verify", "narayana", "--d", "2", "--order", "20", "--format", fmt)
     assert code == 1
     if fmt == "json":
@@ -377,6 +381,34 @@ def test_failing_verify_lists_the_first_100_failures(capsys, monkeypatch, fmt):
         lines = out.splitlines()
         assert lines[0] == "verify narayana d=2: FAILED (231 mismatches)"
         assert len(lines) == 101 and lines[1] == "  {'p': [0, 0]}: 1 != 2"
+
+
+@pytest.mark.parametrize("side", ["closed-form", "dyck-paths"])
+def test_verify_narayana_fails_when_either_side_is_off_by_one(capsys, monkeypatch, side):
+    """One count off by one at the profile (3, 4), on either side, is the one
+    failure reported."""
+    from linetrees import verification
+
+    if side == "closed-form":
+        right_count = verification.closed_form_count
+        monkeypatch.setattr(
+            verification,
+            "closed_form_count",
+            lambda profile, n=1: right_count(profile, n) + (profile.counts == (3, 4)),
+        )
+    else:
+        right_rows = verification.dyck_paths_by_peaks
+
+        def wrong_rows(n_max):
+            rows = right_rows(n_max)
+            rows[8][4] += 1  # N(8, 4), the count of (3, 4)
+            return rows
+
+        monkeypatch.setattr(verification, "dyck_paths_by_peaks", wrong_rows)
+    code, out, _ = run(capsys, "verify", "narayana", "--d", "2", "--order", "10")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["failure_count"] == 1 and doc["failures"][0]["p"] == [3, 4]
 
 
 def test_verify_narayana_wrong_d_exits_2(capsys):

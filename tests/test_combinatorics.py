@@ -15,7 +15,7 @@ from linetrees.combinatorics import (
     profiles_with_total,
 )
 from linetrees.errors import DomainError, IntegralityViolation
-from linetrees.verification import verify_narayana_bridge
+from linetrees.verification import dyck_paths_by_peaks, verify_narayana_bridge
 
 
 def test_color_profile_invariants():
@@ -113,6 +113,15 @@ def test_narayana_known_values():
     assert narayana(3, 2) == 3
     assert narayana(1, 1) == 1
     assert narayana(4, 2) == 6
+
+
+def test_dyck_paths_by_peaks_match_narayana_up_to_the_cap_row():
+    """Row n lists the Dyck paths of semilength n by peaks; rows 1..140 cover
+    the `narayana order` cap, 139."""
+    rows = dyck_paths_by_peaks(140)
+    assert rows[:3] == [[1], [0, 1], [0, 1, 1]]
+    for n in range(1, 141):
+        assert rows[n] == [0] + [narayana(n, k) for k in range(1, n + 1)]
 
 
 def test_narayana_domain():

@@ -1,5 +1,6 @@
 """Tests for the truncated multivariate series and identity verifiers."""
 
+import itertools
 import json
 import math
 
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 from linetrees.combinatorics import ColorProfile, closed_form_count, profiles_with_total
 from linetrees.errors import DomainError
 from linetrees.limits import CAPS
+from linetrees import series
 from linetrees.series import (
     MultiSeries,
     closed_form_series,
-    elementary_symmetric_series,
     solve_tree_equation,
     verify_convolution,
     verify_geometric,
@@ -22,24 +23,6 @@ from linetrees.series import (
 )
 from linetrees.trees import count_by_profile_bruteforce
 from linetrees.verification import MAX_REPORTED_FAILURES, VerificationReport
-
-
-def test_elementary_symmetric_d2():
-    e = elementary_symmetric_series(2, 4)
-    assert e[0].coeffs == {(0, 0): 1}
-    assert e[1].coeffs == {(1, 0): 1, (0, 1): 1}
-    assert e[2].coeffs == {(1, 1): 1}
-
-
-def test_elementary_symmetric_d3_e2():
-    e = elementary_symmetric_series(3, 4)
-    assert e[2].coeffs == {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
-
-
-def test_elementary_symmetric_truncates_high_degrees():
-    e = elementary_symmetric_series(3, 1)
-    assert e[2].coeffs == {}
-    assert e[3].coeffs == {}
 
 
 def test_solve_order_zero_is_one():
@@ -79,7 +62,6 @@ def test_series_functions_reject_bad_colors_and_negative_orders():
         lambda: verify_linear_recursion(2, 1, -1),
         lambda: verify_geometric(2, 1, -1),
         lambda: verify_convolution(2, 1, 1, -1),
-        lambda: elementary_symmetric_series(0, 2),
     ):
         with pytest.raises(DomainError):
             call()
@@ -90,7 +72,7 @@ def test_series_functions_reject_bad_colors_and_negative_orders():
     [
         lambda: MultiSeries(2, 2, {(1, -1): 1}),
         lambda: MultiSeries(2, 2, {(1, 0): 1.0}),
-        lambda: MultiSeries.constant(2, 2).evaluate((0.1,)),
+        lambda: MultiSeries(2, 2, {(0, 0): 1}).evaluate((0.1,)),
         lambda: closed_form_series(2, 0, 2),
         lambda: verify_linear_recursion(2, -1, 2),
         lambda: verify_geometric(2, 0, 2),
@@ -133,14 +115,17 @@ def test_solution_matches_closed_form_at_order_cap(d):
     assert solve_tree_equation(d, cap) == closed_form_series(d, 1, cap)
 
 
-# d=6..8 are left out for time: at their caps the three checks take about
-# 2, 7 and 15 s, against about 1.3 s for d=2..5 together (2 vCPUs).
-@pytest.mark.parametrize("d", range(2, 6))
+# The recursion runs at every d's cap, d=6..8 in about 4 s together.
+# geometric and convolution are left out for time at d=6..8: at the cap
+# they take about 0.8, 2.6 and 6 s, against about 1.3 s for d=2..5 with the
+# recursion (2 vCPUs); CI runs them at d=8 end to end.
+@pytest.mark.parametrize("d", range(2, 9))
 def test_series_verifiers_pass_at_the_order_cap(d):
     cap = CAPS["order"][d]
     assert verify_linear_recursion(d, 5, cap).ok
-    assert verify_geometric(d, 5, cap).ok
-    assert verify_convolution(d, 1000, 1000, cap).ok
+    if d <= 5:
+        assert verify_geometric(d, 5, cap).ok
+        assert verify_convolution(d, 1000, 1000, cap).ok
 
 
 def test_closed_form_series_known_coefficients():
@@ -221,24 +206,33 @@ def neg(a):
     return MultiSeries(a.d, a.order, {k: -v for k, v in a.coeffs.items()})
 
 
+def add(a, b):
+    """Coefficientwise sum of two series of one shape; zeros are dropped."""
+    assert (a.d, a.order) == (b.d, b.order)
+    out = dict(a.coeffs)
+    for key, value in b.coeffs.items():
+        out[key] = out.get(key, 0) + value
+    return MultiSeries(a.d, a.order, out)
+
+
 def test_series_arithmetic_basics():
     a = MultiSeries(2, 3, {(1, 0): 2})
     b = MultiSeries(2, 3, {(0, 1): 5, (1, 0): -2})
-    assert (a + b).coeffs == {(0, 1): 5}
-    assert (a + neg(a)).coeffs == {}
+    assert add(a, b).coeffs == {(0, 1): 5}
+    assert add(a, neg(a)).coeffs == {}
     assert (a * b).coeffs == {(1, 1): 10, (2, 0): -4}
     # (x + y)(x - y): the xy terms cancel and are dropped
     c = MultiSeries(2, 3, {(1, 0): 1, (0, 1): 1})
     assert (c * MultiSeries(2, 3, {(1, 0): 1, (0, 1): -1})).coeffs == {(2, 0): 1, (0, 2): -1}
     with pytest.raises(DomainError):
-        a + MultiSeries(3, 3, {})
+        a * MultiSeries(3, 3, {})
+    with pytest.raises(DomainError):
+        a * MultiSeries(2, 4, {})
 
 
 @pytest.mark.parametrize("other", [1, 2.5, None])
 def test_series_arithmetic_rejects_non_series_operands(other):
     a = MultiSeries(2, 3, {(1, 0): 2})
-    with pytest.raises(DomainError):
-        a + other
     with pytest.raises(DomainError):
         a * other
 
@@ -261,6 +255,7 @@ small_series = st.dictionaries(exponents, st.integers(-9, 9), max_size=8).map(
 def test_ring_laws_under_truncation(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
+    assert a * add(b, c) == add(a * b, a * c)
 
 
 def naive_product(a, b):
@@ -300,14 +295,111 @@ def sparse_series_pairs(draw):
 def test_graded_mul_matches_all_pairs_reference(pair):
     a, b = pair
     # (a + b) * (a - b) cancels its cross terms to zero inside one product
-    for left, right in ((a, b), (a + b, a + neg(b))):
+    for left, right in ((a, b), (add(a, b), add(a, neg(b)))):
         product = left * right
         assert product == naive_product(left, right)
         assert 0 not in product.coeffs.values()
 
 
+def product_form_recursion(d, n_max, order):
+    """The recursion check by whole-series arithmetic, the reference for
+    ``verify_linear_recursion``: e_k as a series and F_n + sum_k e_k * F_{n+k}
+    by all-pairs products, each level read through ``series``."""
+    elementary = [
+        MultiSeries(d, order, {
+            tuple(int(i in subset) for i in range(d)): 1
+            for subset in itertools.combinations(range(d), k)
+        })
+        for k in range(d + 1)
+    ]
+    levels = [elementary[0]]
+    levels += [series.closed_form_series(d, m, order) for m in range(1, n_max + d + 1)]
+    report = VerificationReport("recursion", d, {"n_max": n_max, "order": order})
+    for n in range(n_max + 1):
+        rhs = levels[n]
+        for k in range(1, d + 1):
+            rhs = add(rhs, naive_product(elementary[k], levels[n + k]))
+        _collect_mismatches(report, levels[n + 1], rhs, {"n": n})
+    return report
+
+
+@pytest.mark.parametrize(
+    "d, order", [(d, CAPS["order"][d]) for d in range(2, 6)] + [(d, 4) for d in range(6, 9)]
+)
+def test_recursion_matches_the_product_form_reference(d, order):
+    report = verify_linear_recursion(d, 5, order)
+    reference = product_form_recursion(d, 5, order)
+    assert report.to_json_obj() == reference.to_json_obj()
+    assert report.compared == reference.compared
+
+
+WRONG_COEFFICIENTS = {"off-by-one": lambda c: c + 1, "dropped": lambda c: 0}
+
+
+def break_closed_form(monkeypatch, level, p0, wrong):
+    """Make ``series.closed_form_series`` return ``wrong(c)`` in place of the
+    right coefficient c of the level-``level`` series at ``p0``; returns
+    wrong(c) - c."""
+    right = series.closed_form_series
+
+    def broken(d, n, order):
+        out = right(d, n, order)
+        if n != level:
+            return out
+        coeffs = dict(out.coeffs)
+        coeffs[p0] = wrong(coeffs[p0])
+        return MultiSeries(d, order, coeffs)
+
+    monkeypatch.setattr(series, "closed_form_series", broken)
+    c = closed_form_count(ColorProfile(len(p0), p0), level)
+    return wrong(c) - c
+
+
+def failures_by_context(report):
+    """{(n, p): lhs - rhs} over the failures; every failure must be listed."""
+    assert report.failure_count == len(report.failures) < MAX_REPORTED_FAILURES
+    return {
+        (context.get("n"), tuple(context["p"])): lhs - rhs
+        for context, lhs, rhs in report.failures
+    }
+
+
+@pytest.mark.parametrize("wrong", WRONG_COEFFICIENTS.values(), ids=WRONG_COEFFICIENTS)
+@pytest.mark.parametrize(
+    "d, n_max, order, level, p0",
+    [(2, 5, 6, 3, (1, 2)), (3, 4, 5, 3, (1, 0, 1)), (3, 1, 4, 2, (0, 0, 0)), (4, 5, 4, 4, (0, 2, 0, 1))],
+)
+def test_recursion_reports_every_context_a_wrong_level_reaches(
+    monkeypatch, wrong, d, n_max, order, level, p0
+):
+    """F_level wrong at p0 by delta moves the left side at (level-1, p0) by
+    delta, and the right side at (level, p0) and at (level-k, p0 + chi_S) for
+    every k-set S of colors by delta: nothing else fails."""
+    delta = break_closed_form(monkeypatch, level, p0, wrong)
+    expected = {}
+    if level - 1 <= n_max:
+        expected[(level - 1, p0)] = delta
+    if level <= n_max:
+        expected[(level, p0)] = -delta
+    for k in range(1, min(d, level) + 1):
+        for subset in itertools.combinations(range(d), k):
+            p = tuple(e + (i in subset) for i, e in enumerate(p0))
+            if sum(p) <= order and level - k <= n_max:
+                expected[(level - k, p)] = -delta
+    report = verify_linear_recursion(d, n_max, order)
+    assert failures_by_context(report) == expected
+    assert report.to_json_obj() == product_form_recursion(d, n_max, order).to_json_obj()
+
+
+@pytest.mark.parametrize("wrong", WRONG_COEFFICIENTS.values(), ids=WRONG_COEFFICIENTS)
+def test_geometric_and_convolution_report_the_one_wrong_coefficient(monkeypatch, wrong):
+    delta = break_closed_form(monkeypatch, 3, (2, 1, 0), wrong)
+    assert failures_by_context(verify_geometric(3, 4, 5)) == {(3, (2, 1, 0)): delta}
+    assert failures_by_context(verify_convolution(3, 1, 2, 5)) == {(None, (2, 1, 0)): -delta}
+
+
 def test_evaluate_constant():
-    assert MultiSeries.constant(3, 5, 1).evaluate((0.3, 0.1, 0.7)) == 1
+    assert MultiSeries(3, 5, {(0, 0, 0): 1}).evaluate((0.3, 0.1, 0.7)) == 1
 
 
 def test_evaluate_order2_value():
