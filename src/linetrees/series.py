@@ -18,28 +18,42 @@ total degree, so every identity checked here is closed under it.
 point) and `to_json_obj`; both operands of `*` must share d and order.
 Products work degree by degree: a pair of terms whose total degree exceeds
 the order is never formed.
+
+Inside `*` and `solve_tree_equation`, each exponent vector is packed into
+one integer,
+
+    pack(p) = sum_i p_i * B^(d-1-i),  B = order + 1,
+
+so that multiplying two monomials is adding two integers.  Packing is a
+bijection between vectors of total <= order and their keys, and it respects
+addition: every field p_i is at most the total, hence < B, so the fields are
+the base-B digits of the key.  Because only pairs whose degree sum is
+<= order are formed, every field of a sum is still <= order: no field ever
+carries into its neighbour, and pack(p + q) = pack(p) + pack(q).  Within one
+total degree the order of packed keys is the lexicographic order of the
+vectors, since base-B digits compare most significant first.  `coeffs`
+keeps tuple keys.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from operator import add
-from typing import Sequence
+from operator import mul
+from typing import Iterable, Sequence
 
-from .combinatorics import ColorProfile, closed_form_count, profiles_with_total
 from .errors import DomainError
 from .limits import check_colors
-from .verification import VerificationReport
 
 
 class MultiSeries:
     """Multivariate power series truncated by total degree.
 
-    ``coeffs`` maps exponent tuples (p_1, ..., p_d) with sum <= order to
-    nonzero integers; absent keys are zero.  Series with equal d, order and
-    coefficients compare equal.  Instances are treated as immutable;
-    arithmetic returns new series truncated at the same order.
+    ``coeffs`` maps exponent tuples (p_1, ..., p_d) of plain nonnegative
+    ints with sum <= order to nonzero plain ints (bools are rejected); absent
+    keys are zero.  Series with equal d, order and coefficients compare equal.
+    Instances are treated as immutable; arithmetic returns new series
+    truncated at the same order.
     """
 
     __slots__ = ("d", "order", "coeffs")
@@ -52,9 +66,9 @@ class MultiSeries:
         cleaned: dict[tuple[int, ...], int] = {}
         for key, value in (coeffs or {}).items():
             key = tuple(key)
-            if len(key) != d or any(e < 0 for e in key):
+            if len(key) != d or not all(type(e) is int and e >= 0 for e in key):
                 raise DomainError(f"bad exponent vector {key} for d={d}")
-            if not isinstance(value, int):
+            if type(value) is not int:
                 raise DomainError(f"coefficient at {key} is not an integer: {value!r}")
             if value != 0 and sum(key) <= order:
                 cleaned[key] = value
@@ -88,13 +102,12 @@ class MultiSeries:
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
         self._require_same_shape(other)
-        left = _by_degree(self.coeffs, self.order)
-        right = _by_degree(other.coeffs, self.order)
-        out: dict[tuple[int, ...], int] = {}
+        left, right = _by_degree(self), _by_degree(other)
+        out: dict[int, int] = {}
         for deg_a, terms in enumerate(left):
             for bucket in right[: self.order - deg_a + 1]:
                 _accumulate(out, terms, bucket)
-        return MultiSeries(self.d, self.order, out)
+        return MultiSeries(self.d, self.order, _unpacked(out.items(), self.d, self.order))
 
     def evaluate(self, point: Sequence[complex]) -> complex:
         """Value of the truncated sum at a complex point: the plain sum of
@@ -114,24 +127,38 @@ class MultiSeries:
         }
 
 
-_Terms = list[tuple[tuple[int, ...], int]]
+# Terms with packed exponent keys: (pack(p), coefficient).
+_Terms = list[tuple[int, int]]
 
 
-def _by_degree(coeffs: dict[tuple[int, ...], int], order: int) -> list[_Terms]:
-    """The terms of a series, bucketed by total degree 0..order."""
-    buckets: list[_Terms] = [[] for _ in range(order + 1)]
-    for key, value in coeffs.items():
-        buckets[sum(key)].append((key, value))
+def _places(d: int, order: int) -> list[int]:
+    """The place value B^(d-1-i) of each field of a packed key, B = order + 1."""
+    return [(order + 1) ** i for i in reversed(range(d))]
+
+
+def _by_degree(series: MultiSeries) -> list[_Terms]:
+    """The packed terms of a series, bucketed by total degree 0..order."""
+    places = _places(series.d, series.order)
+    buckets: list[_Terms] = [[] for _ in range(series.order + 1)]
+    for key, value in series.coeffs.items():
+        buckets[sum(key)].append((sum(map(mul, key, places)), value))
     return buckets
 
 
-def _accumulate(out: dict[tuple[int, ...], int], left: _Terms, right: _Terms) -> None:
+def _unpacked(terms: Iterable[tuple[int, int]], d: int, order: int) -> dict[tuple[int, ...], int]:
+    """Packed terms as a dict with exponent-tuple keys, in the same order."""
+    base, places = order + 1, _places(d, order)
+    return {tuple(key // w % base for w in places): value for key, value in terms}
+
+
+def _accumulate(out: dict[int, int], left: _Terms, right: _Terms) -> None:
     """Add the product of every term of ``left`` with every term of ``right``
-    into ``out``; callers pick the degree buckets so that none is discarded."""
+    into ``out``; callers pick the degree buckets so that every pair's degree
+    sum is <= order, and the packed keys then add without a carry."""
     get = out.get
-    for pa, ca in left:
-        for pb, cb in right:
-            key = tuple(map(add, pa, pb))
+    for ka, ca in left:
+        for kb, cb in right:
+            key = ka + kb
             out[key] = get(key, 0) + ca * cb
 
 
@@ -150,16 +177,18 @@ def solve_tree_equation(d: int, order: int) -> MultiSeries:
     convergence test.
     """
     check_colors(d)
-    # e_k as its terms: one squarefree monomial per k-set of colors.
+    if order < 0:
+        raise DomainError(f"order must be >= 0, got {order}")
+    places = _places(d, order)
+    # e_k as its packed terms: one squarefree monomial per k-set of colors.
     elementary = [
-        [(tuple(int(i in subset) for i in range(d)), 1)
-         for subset in itertools.combinations(range(d), k)]
+        [(sum(places[i] for i in subset), 1) for subset in itertools.combinations(range(d), k)]
         for k in range(d + 1)
     ]
     # powers[k][m] holds the terms of [F^k]_m; powers[1] is F itself.
     powers = [[elementary[0]] for _ in range(d + 1)]
     for m in range(1, order + 1):
-        part: dict[tuple[int, ...], int] = {}
+        part: dict[int, int] = {}
         for k in range(1, min(d, m) + 1):
             _accumulate(part, elementary[k], powers[k][m - k])
         powers[1].append(list(part.items()))
@@ -168,11 +197,13 @@ def solve_tree_equation(d: int, order: int) -> MultiSeries:
             for a in range(m + 1):
                 _accumulate(part, powers[1][a], powers[k - 1][m - a])
             powers[k].append(list(part.items()))
-    return MultiSeries(d, order, dict(itertools.chain.from_iterable(powers[1])))
+    return MultiSeries(d, order, _unpacked(itertools.chain.from_iterable(powers[1]), d, order))
 
 
 def closed_form_series(d: int, n: int, order: int) -> MultiSeries:
     """Level-n series assembled directly from the closed-form counts."""
+    from .combinatorics import ColorProfile, closed_form_count, profiles_with_total
+
     if n < 1:
         raise DomainError(f"level n must be >= 1, got {n}")
     coeffs: dict[tuple[int, ...], int] = {}
@@ -205,6 +236,9 @@ def verify_linear_recursion(d: int, n_max: int, order: int) -> VerificationRepor
     <= order is checked once per n, in graded lexicographic order; a
     coefficient missing from a level reads as zero.
     """
+    from .combinatorics import profiles_with_total
+    from .verification import VerificationReport
+
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     levels = [{(0,) * d: 1}]
@@ -231,6 +265,8 @@ def verify_linear_recursion(d: int, n_max: int, order: int) -> VerificationRepor
 def verify_geometric(d: int, n_max: int, order: int) -> VerificationReport:
     """Check that the level-n series is the n-th truncated power of the
     functional-equation solution, for n = 1..n_max."""
+    from .verification import VerificationReport
+
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     base = solve_tree_equation(d, order)
@@ -248,6 +284,8 @@ def verify_convolution(d: int, n: int, m: int, order: int) -> VerificationReport
     """Check the convolution identity: the product of the level-n and
     level-m series equals the level-(n+m) series on all profiles with
     total <= order."""
+    from .verification import VerificationReport
+
     if n < 1 or m < 1:
         raise DomainError(f"levels must be >= 1, got n={n}, m={m}")
     product = closed_form_series(d, n, order) * closed_form_series(d, m, order)

@@ -1124,9 +1124,8 @@ _STARTUP_MODULES = [
     (["--version"], []),
     (["count", "--d", "2", "--profile", "3,2"], ["combinatorics"]),
     (["enumerate", "--d", "2", "--max-lines", "3"], ["combinatorics", "trees"]),
-    (["series", "--d", "2", "--order", "6"], ["combinatorics", "series", "verification"]),
-    (["series", "--d", "2", "--order", "6", "--n", "2"],
-     ["combinatorics", "series", "verification"]),
+    (["series", "--d", "2", "--order", "6"], ["series"]),
+    (["series", "--d", "2", "--order", "6", "--n", "2"], ["combinatorics", "series"]),
     (["verify", "recursion", "--d", "2", "--order", "6"],
      ["combinatorics", "series", "verification"]),
     (["verify", "narayana", "--d", "2", "--order", "6"], ["combinatorics", "verification"]),

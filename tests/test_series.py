@@ -72,6 +72,9 @@ def test_series_functions_reject_bad_colors_and_negative_orders():
     [
         lambda: MultiSeries(2, 2, {(1, -1): 1}),
         lambda: MultiSeries(2, 2, {(1, 0): 1.0}),
+        lambda: MultiSeries(2, 2, {(0.5, 0): 1}),
+        lambda: MultiSeries(2, 2, {(True, 0): 1}),
+        lambda: MultiSeries(2, 2, {(1, 0): True}),
         lambda: MultiSeries(2, 2, {(0, 0): 1}).evaluate((0.1,)),
         lambda: closed_form_series(2, 0, 2),
         lambda: verify_linear_recursion(2, -1, 2),
@@ -79,7 +82,8 @@ def test_series_functions_reject_bad_colors_and_negative_orders():
         lambda: verify_convolution(2, 0, 1, 2),
     ],
     ids=[
-        "negative-exponent", "float-coefficient", "evaluate-length", "closed-form-level",
+        "negative-exponent", "float-coefficient", "float-exponent", "bool-exponent",
+        "bool-coefficient", "evaluate-length", "closed-form-level",
         "recursion-n_max", "geometric-n_max", "convolution-level",
     ],
 )
@@ -117,8 +121,8 @@ def test_solution_matches_closed_form_at_order_cap(d):
 
 # The recursion runs at every d's cap, d=6..8 in about 4 s together.
 # geometric and convolution are left out for time at d=6..8: at the cap
-# they take about 0.8, 2.6 and 6 s, against about 1.3 s for d=2..5 with the
-# recursion (2 vCPUs); CI runs them at d=8 end to end.
+# the two take about 0.4, 1.0 and 2.1 s per d (2 vCPUs); CI runs them at
+# d=8 end to end.
 @pytest.mark.parametrize("d", range(2, 9))
 def test_series_verifiers_pass_at_the_order_cap(d):
     cap = CAPS["order"][d]
@@ -299,6 +303,35 @@ def test_graded_mul_matches_all_pairs_reference(pair):
         product = left * right
         assert product == naive_product(left, right)
         assert 0 not in product.coeffs.values()
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+@pytest.mark.parametrize("order", range(7))
+def test_mul_with_exponents_at_the_order(d, order):
+    """Exponents that reach the order itself, where a packed field of the
+    product kernel is at its largest: x_i^order times 1 and x_i^a times
+    x_j^(order - a) each keep their one term, and a second term x_j^(order -
+    a + 1) in the same operand runs past the order and is dropped, not
+    carried into a neighbouring exponent."""
+
+    def x(i, e):
+        return tuple(e if k == i else 0 for k in range(d))
+
+    def times(p, q):
+        return tuple(map(sum, zip(p, q)))
+
+    for i, j in itertools.product(range(d), repeat=2):
+        cases = [({x(i, order): 2}, {x(j, 0): 7, x(j, 1): 5}, {x(i, order): 14})]
+        cases += [
+            ({x(i, a): 2}, {x(j, order - a): 3, x(j, order - a + 1): 5},
+             {times(x(i, a), x(j, order - a)): 6})
+            for a in range(order + 1)
+        ]
+        for left, right, expected in cases:
+            left, right = MultiSeries(d, order, left), MultiSeries(d, order, right)
+            product = left * right
+            assert product.coeffs == expected, (i, j, left, right)
+            assert product == naive_product(left, right)
 
 
 def product_form_recursion(d, n_max, order):
