@@ -43,7 +43,7 @@ class ColorProfile:
         counts = tuple(counts)
         if len(counts) != d:
             raise DomainError(f"profile has {len(counts)} entries but d={d} colors")
-        if any(not isinstance(c, int) or c < 0 for c in counts):
+        if any(type(c) is not int or c < 0 for c in counts):
             raise DomainError(f"profile entries must be non-negative integers: {counts}")
         self.d = d
         self.counts = counts

@@ -33,12 +33,11 @@ N(q') * S_{k-1}(q - q') in one split record per q: the box of q (the ids
 of every q' <= q in lexicographic order), in which q - q' is the mirror
 entry ``box[~j]`` of ``q' = box[j]``, and per k the cumulative sums behind
 S_k(q).  A shared table extends such a record to the k a larger profile
-needs, and skips the part of the box below a counted p - e_i.  Unranking
-bisects the block ends to pick S, unranks a single child directly, bisects
-the split ends to pick each q' and its mirror, and fills the node's template
-with the children's encodings, one frame per tree level; a subtree whose
-profile has at most ``_SMALL_COUNT`` trees comes from a per-profile memo
-filled on first use.
+needs.  Unranking bisects the block ends to pick S, unranks a single child
+directly, bisects the split ends to pick each q' and its mirror, and fills
+the node's template with the children's encodings, one frame per tree
+level; a subtree whose profile has at most ``_SMALL_COUNT`` trees comes from
+a per-profile memo filled on first use.
 Ranking (:meth:`ProfileCountTable.rank`) parses the encoding in one pass
 with an explicit stack and, as each vertex closes, adds up the same prefix
 sums from its children's profiles and indices.
@@ -180,22 +179,14 @@ class ProfileCountTable:
         totals, blocks, splits, small = self._totals, self._blocks, self._splits, self._small
         sizes, templates = self._sizes, self._templates
         # Walk q <= p in lexicographic order, in which each q - chi_S and
-        # every vector below q comes earlier.  A counted vector v has every
-        # q <= v counted and made for the parts v needs.  So once p - e_i is
-        # counted, only the q with q_i >= p_i - 1 can need work (those with
-        # q_i = p_i - 1 need one part more), and every q left to count has
-        # q_i = p_i, so that its q - chi_S are in the walk.
-        low = [
-            n - 1 if n and ids.get(p[:i] + (n - 1,) + p[i + 1:]) in counts else 0
-            for i, n in enumerate(p)
-        ]
-        ranges = [range(lo, n + 1) for lo, n in zip(low, p)]
+        # every vector below q comes earlier.
+        ranges = [range(n + 1) for n in p]
         walk = tuple(map(ids.setdefault, product(*ranges), self._new_ids))
-        # In the walk, q sits at sum_i (q_i - low_i) * strides[i], and
-        # q - chi_S sits offsets[S] places before q.
+        # In the walk, q sits at sum_i q_i * strides[i], and q - chi_S sits
+        # offsets[S] places before q.
         strides = [1] * self.d
         for i in range(self.d - 1, 0, -1):
-            strides[i - 1] = strides[i] * (p[i] - low[i] + 1)
+            strides[i - 1] = strides[i] * (p[i] + 1)
         offsets = [0]
         for stride in strides:
             offsets += [offset + stride for offset in offsets]

@@ -204,8 +204,6 @@ def closed_form_series(d: int, n: int, order: int) -> MultiSeries:
     """Level-n series assembled directly from the closed-form counts."""
     from .combinatorics import ColorProfile, closed_form_count, profiles_with_total
 
-    if n < 1:
-        raise DomainError(f"level n must be >= 1, got {n}")
     coeffs: dict[tuple[int, ...], int] = {}
     for total in range(order + 1):
         for p in profiles_with_total(d, total):

@@ -26,6 +26,8 @@ def test_color_profile_invariants():
     with pytest.raises(DomainError):
         ColorProfile(2, (1, -1))
     with pytest.raises(DomainError):
+        ColorProfile(2, (True, 0))
+    with pytest.raises(DomainError):
         ColorProfile(1, (1,))
     with pytest.raises(DomainError):
         ColorProfile(9, (0,) * 9)

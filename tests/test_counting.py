@@ -98,8 +98,9 @@ def test_shared_table_in_any_order_matches_fresh_tables(d, max_total, seed):
     """A table queried over many profiles in shuffled order gives each one
     the count, root blocks, split prefix sums and unranked trees of a table
     built for that profile alone.  A profile counted while building a
-    smaller one may later need split totals for more parts, and a walk that
-    starts above a counted p - e_i reads the boxes below it from the ids."""
+    smaller one may later need split totals for more parts, and a walk over
+    a box counted in part recounts none of it but extends its split
+    records."""
     profiles = [
         ColorProfile(d, counts)
         for total in range(max_total + 1)
@@ -209,7 +210,11 @@ def test_splitmix64_below_uses_minimal_bits():
     words = [reference.next_word() for _ in range(4)]
     draws = [gen.below(16) for _ in range(4)]
     assert draws == [w & 15 for w in words]
-    assert SplitMix64(3).below(1) == 0
+    # A bound of 1 needs no bits: below(1) draws no word, so the stream
+    # after it is the stream of a fresh generator.
+    gen = SplitMix64(3)
+    assert gen.below(1) == 0
+    assert gen.next_word() == SplitMix64(3).next_word()
 
 
 @pytest.mark.parametrize(
