@@ -120,10 +120,27 @@ def narayana(n: int, k: int) -> int:
 
 def profiles_with_total(d: int, total: int) -> Iterator[tuple[int, ...]]:
     """Yield every length-d vector of non-negative ints summing to ``total``,
-    in lexicographic order."""
+    in lexicographic order; a d below 1 raises DomainError."""
+    if d < 1:
+        raise DomainError(f"need d >= 1 entries, got {d}")
     if d == 1:
         yield (total,)
         return
     for first in range(total + 1):
         for rest in profiles_with_total(d - 1, total - first):
             yield (first,) + rest
+
+
+def closed_form_table(d: int, n: int, max_total: int) -> dict[tuple[int, ...], int]:
+    """``{p: closed_form_count(ColorProfile(d, p), n)}`` over every profile
+    of total <= max_total, in graded lexicographic order (total, then
+    lexicographic); a zero value keeps its key, so a walk over the keys
+    compares every profile."""
+    check_colors(d)
+    if max_total < 0:
+        raise DomainError(f"max_total must be >= 0, got {max_total}")
+    return {
+        p: closed_form_count(ColorProfile(d, p), n)
+        for total in range(max_total + 1)
+        for p in profiles_with_total(d, total)
+    }

@@ -202,26 +202,14 @@ def solve_tree_equation(d: int, order: int) -> MultiSeries:
 
 def closed_form_series(d: int, n: int, order: int) -> MultiSeries:
     """Level-n series assembled directly from the closed-form counts."""
-    from .combinatorics import ColorProfile, closed_form_count, profiles_with_total
+    from .combinatorics import closed_form_table
 
-    coeffs: dict[tuple[int, ...], int] = {}
-    for total in range(order + 1):
-        for p in profiles_with_total(d, total):
-            coeffs[p] = closed_form_count(ColorProfile(d, p), n)
-    return MultiSeries(d, order, coeffs)
-
-
-def _collect_mismatches(
-    report: VerificationReport, lhs: MultiSeries, rhs: MultiSeries, context: dict
-) -> None:
-    """Check every coefficient nonzero in either series on ``report``."""
-    for p in sorted(set(lhs.coeffs) | set(rhs.coeffs), key=lambda p: (sum(p), p)):
-        report.check({**context, "p": list(p)}, lhs.coefficient(p), rhs.coefficient(p))
+    return MultiSeries(d, order, closed_form_table(d, n, order))
 
 
 def verify_linear_recursion(d: int, n_max: int, order: int) -> VerificationReport:
     """Check F_{n+1} = F_n + sum_{k=1..d} e_k F_{n+k} for n = 0..n_max,
-    with every F_m built from the closed form (F_0 = 1).
+    with every F_m read from the closed-form table (F_0 = 1).
 
     The right side needs no series product.  e_k is the sum of the
     squarefree monomials g^chi_S over the k-sets S of colors, so the
@@ -231,20 +219,20 @@ def verify_linear_recursion(d: int, n_max: int, order: int) -> VerificationRepor
     [F_n]_p plus [F_{n+|S|}]_{p - chi_S} over the nonempty S in the
     support of p.  Each shifted profile has a smaller total than p, so
     truncation at ``order`` loses none of them.  Every profile of total
-    <= order is checked once per n, in graded lexicographic order; a
-    coefficient missing from a level reads as zero.
+    <= order is checked once per n, in the tables' graded lexicographic
+    order; F_0 reads as zero off the constant term.
     """
-    from .combinatorics import profiles_with_total
+    from .combinatorics import closed_form_table
     from .verification import VerificationReport
 
+    check_colors(d)
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     levels = [{(0,) * d: 1}]
-    levels += [closed_form_series(d, m, order).coeffs for m in range(1, n_max + d + 1)]
-    profiles = [p for total in range(order + 1) for p in profiles_with_total(d, total)]
-    # rhs[n] lists the right side at each profile, in the order of profiles.
+    levels += [closed_form_table(d, m, order) for m in range(1, n_max + d + 1)]
+    # rhs[n] lists the right side at each profile, in the order of the keys.
     rhs: list[list[int]] = [[] for _ in range(n_max + 1)]
-    for p in profiles:
+    for p in levels[1]:
         support = [i for i, e in enumerate(p) if e]
         shifts = [
             (k, tuple(e - (i in subset) for i, e in enumerate(p)))
@@ -252,17 +240,19 @@ def verify_linear_recursion(d: int, n_max: int, order: int) -> VerificationRepor
             for subset in itertools.combinations(support, k)
         ]
         for n, column in enumerate(rhs):
-            column.append(levels[n].get(p, 0) + sum(levels[n + k].get(q, 0) for k, q in shifts))
+            column.append(levels[n].get(p, 0) + sum(levels[n + k][q] for k, q in shifts))
     report = VerificationReport("recursion", d, {"n_max": n_max, "order": order})
     for n, column in enumerate(rhs):
-        for p, value in zip(profiles, column):
-            report.check({"n": n, "p": list(p)}, levels[n + 1].get(p, 0), value)
+        for p, value in zip(levels[1], column):
+            report.check({"n": n, "p": list(p)}, levels[n + 1][p], value)
     return report
 
 
 def verify_geometric(d: int, n_max: int, order: int) -> VerificationReport:
     """Check that the level-n series is the n-th truncated power of the
-    functional-equation solution, for n = 1..n_max."""
+    functional-equation solution, for n = 1..n_max, at every profile of
+    total <= order."""
+    from .combinatorics import closed_form_table
     from .verification import VerificationReport
 
     if n_max < 1:
@@ -273,8 +263,8 @@ def verify_geometric(d: int, n_max: int, order: int) -> VerificationReport:
     for n in range(1, n_max + 1):
         if n > 1:
             power = power * base
-        direct = closed_form_series(d, n, order)
-        _collect_mismatches(report, direct, power, {"n": n})
+        for p, count in closed_form_table(d, n, order).items():
+            report.check({"n": n, "p": list(p)}, count, power.coefficient(p))
     return report
 
 
@@ -282,12 +272,13 @@ def verify_convolution(d: int, n: int, m: int, order: int) -> VerificationReport
     """Check the convolution identity: the product of the level-n and
     level-m series equals the level-(n+m) series on all profiles with
     total <= order."""
+    from .combinatorics import closed_form_table
     from .verification import VerificationReport
 
     if n < 1 or m < 1:
         raise DomainError(f"levels must be >= 1, got n={n}, m={m}")
     product = closed_form_series(d, n, order) * closed_form_series(d, m, order)
-    direct = closed_form_series(d, n + m, order)
     report = VerificationReport("convolution", d, {"n": n, "m": m, "order": order})
-    _collect_mismatches(report, product, direct, {})
+    for p, count in closed_form_table(d, n + m, order).items():
+        report.check({"p": list(p)}, product.coefficient(p), count)
     return report

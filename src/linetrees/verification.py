@@ -6,9 +6,10 @@ every failing coefficient so callers (tests, CLI) can decide how to react.
 
 from __future__ import annotations
 
+import itertools
 from operator import add
 
-from .combinatorics import ColorProfile, closed_form_count, fuss_catalan_total, profiles_with_total
+from .combinatorics import ColorProfile, closed_form_table, fuss_catalan_total
 from .errors import DomainError
 
 
@@ -66,13 +67,11 @@ def verify_fuss_catalan_rows(d: int, p_max: int) -> VerificationReport:
     """
     if p_max < 1:
         raise DomainError(f"p_max must be >= 1 to check any row, got {p_max}")
+    table = closed_form_table(d, 1, p_max - 1)
     report = VerificationReport("fuss-catalan", d, {"p_max": p_max})
-    for p_vertices in range(1, p_max + 1):
-        row_sum = sum(
-            closed_form_count(ColorProfile(d, p), 1)
-            for p in profiles_with_total(d, p_vertices - 1)
-        )
-        report.check({"P": p_vertices}, row_sum, fuss_catalan_total(d, p_vertices))
+    # The table's keys run by total, so each group is one row.
+    for total, row in itertools.groupby(table.items(), key=lambda item: sum(item[0])):
+        report.check({"P": total + 1}, sum(c for _, c in row), fuss_catalan_total(d, total + 1))
     return report
 
 
@@ -119,17 +118,11 @@ def verify_narayana_bridge(max_total: int) -> VerificationReport:
     "Dyck path enumeration", Discrete Math. 204, 1999), so the two sides
     share no formula.
     """
-    if max_total < 0:
-        raise DomainError(f"max_total must be >= 0, got {max_total}")
+    table = closed_form_table(2, 1, max_total)
     rows = dyck_paths_by_peaks(max_total + 1)
     report = VerificationReport("narayana", 2, {"max_total": max_total})
-    for total in range(max_total + 1):
-        for p in profiles_with_total(2, total):
-            report.check(
-                {"p": list(p)},
-                closed_form_count(ColorProfile(2, p), 1),
-                rows[total + 1][p[0] + 1],
-            )
+    for p, count in table.items():
+        report.check({"p": list(p)}, count, rows[sum(p) + 1][p[0] + 1])
     return report
 
 
@@ -140,8 +133,6 @@ def verify_oracle(d: int, max_total: int) -> VerificationReport:
 
     tally = count_by_profile_bruteforce(d, max_total)
     report = VerificationReport("oracle", d, {"max_total": max_total})
-    for total in range(max_total + 1):
-        for p in profiles_with_total(d, total):
-            profile = ColorProfile(d, p)
-            report.check({"p": list(p)}, tally.get(profile, 0), closed_form_count(profile, 1))
+    for p, count in closed_form_table(d, 1, max_total).items():
+        report.check({"p": list(p)}, tally.get(ColorProfile(d, p), 0), count)
     return report

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linetrees import combinatorics, series, trees, verification
 from linetrees.cli import VERIFY_KINDS, _build_parser, main
 from linetrees.combinatorics import ColorProfile
 from linetrees.counting import ProfileCountTable, SampleRequest
@@ -358,8 +359,6 @@ def test_verify_kinds_pass(capsys, argv):
 def test_failing_verify_lists_the_first_100_failures(capsys, monkeypatch, fmt):
     """With every Dyck path count off by one, each of the 231 profiles of
     total <= 20 fails; the output counts them all and lists the first 100."""
-    from linetrees import verification
-
     right = verification.dyck_paths_by_peaks
     monkeypatch.setattr(
         verification,
@@ -387,12 +386,10 @@ def test_failing_verify_lists_the_first_100_failures(capsys, monkeypatch, fmt):
 def test_verify_narayana_fails_when_either_side_is_off_by_one(capsys, monkeypatch, side):
     """One count off by one at the profile (3, 4), on either side, is the one
     failure reported."""
-    from linetrees import verification
-
     if side == "closed-form":
-        right_count = verification.closed_form_count
+        right_count = combinatorics.closed_form_count
         monkeypatch.setattr(
-            verification,
+            combinatorics,
             "closed_form_count",
             lambda profile, n=1: right_count(profile, n) + (profile.counts == (3, 4)),
         )
@@ -409,6 +406,104 @@ def test_verify_narayana_fails_when_either_side_is_off_by_one(capsys, monkeypatc
     assert code == 1
     doc = json.loads(out)
     assert doc["failure_count"] == 1 and doc["failures"][0]["p"] == [3, 4]
+
+
+def _closed_form_off(level, p, wrong=lambda c: c + 1):
+    """``combinatorics.closed_form_count`` returning wrong(c) for the
+    level-``level`` count c of ``p``; every closed-form side reads it."""
+    right = combinatorics.closed_form_count
+
+    def count(profile, n=1):
+        c = right(profile, n)
+        return wrong(c) if (n, profile.counts) == (level, p) else c
+
+    return combinatorics, "closed_form_count", count
+
+
+def _series_off(owner, name, p, wrong=lambda c: c + 1):
+    """``owner.name``, a function returning a MultiSeries, returning wrong(c)
+    for its coefficient c at ``p``."""
+    right = getattr(owner, name)
+
+    def off(*args):
+        out = right(*args)
+        return series.MultiSeries(out.d, out.order, {**out.coeffs, p: wrong(out.coefficient(p))})
+
+    return owner, name, off
+
+
+def _tally_without(p):
+    """``trees.count_by_profile_bruteforce`` with the tally of ``p`` dropped."""
+    right = trees.count_by_profile_bruteforce
+
+    def tally(d, max_total):
+        out = right(d, max_total)
+        del out[ColorProfile(d, p)]
+        return out
+
+    return trees, "count_by_profile_bruteforce", tally
+
+
+def _fuss_catalan_off(p_vertices):
+    """The d-Catalan side of ``verify fuss-catalan``, off by one at one row."""
+    right = verification.fuss_catalan_total
+    return verification, "fuss_catalan_total", lambda d, p: right(d, p) + (p == p_vertices)
+
+
+def _to_zero(c):
+    return 0
+
+
+# id: (verify argv, the patch as (owner, name, replacement), the context of
+# the failure it must cause).  A "1-to-0" case turns a count of 1 into 0, so a
+# walk over only the other side's nonzero keys would miss it.
+_MUTATIONS = {
+    "oracle-closed-form": (
+        "oracle --d 3 --order 4", lambda: _closed_form_off(1, (1, 2, 0)), {"p": [1, 2, 0]}),
+    "oracle-bruteforce-1-to-0": (
+        "oracle --d 3 --order 4", lambda: _tally_without((0, 0, 0)), {"p": [0, 0, 0]}),
+    "geometric-closed-form": (
+        "geometric --d 3 --order 5 --n-max 4", lambda: _closed_form_off(3, (2, 1, 0)),
+        {"n": 3, "p": [2, 1, 0]}),
+    "geometric-solver-1-to-0": (
+        "geometric --d 3 --order 5 --n-max 4",
+        lambda: _series_off(series, "solve_tree_equation", (0, 0, 0), _to_zero),
+        {"n": 1, "p": [0, 0, 0]}),
+    "recursion-closed-form": (
+        "recursion --d 3 --order 5 --n-max 4", lambda: _closed_form_off(3, (1, 0, 1)),
+        {"n": 2, "p": [1, 0, 1]}),
+    "recursion-closed-form-1-to-0": (
+        "recursion --d 3 --order 5 --n-max 4",
+        lambda: _closed_form_off(2, (0, 0, 0), _to_zero), {"n": 1, "p": [0, 0, 0]}),
+    "convolution-closed-form-1-to-0": (
+        "convolution --d 3 --order 5 --n 1 --m 2",
+        lambda: _closed_form_off(3, (0, 0, 0), _to_zero), {"p": [0, 0, 0]}),
+    "convolution-product": (
+        "convolution --d 3 --order 5 --n 1 --m 2",
+        lambda: _series_off(series.MultiSeries, "__mul__", (0, 2, 1)), {"p": [0, 2, 1]}),
+    "fuss-catalan-closed-form": (
+        "fuss-catalan --d 3 --order 6", lambda: _closed_form_off(1, (1, 0, 1)), {"P": 3}),
+    "fuss-catalan-d-catalan": (
+        "fuss-catalan --d 3 --order 6", lambda: _fuss_catalan_off(3), {"P": 3}),
+}
+
+
+@pytest.mark.parametrize("case", _MUTATIONS)
+def test_verify_fails_when_either_side_is_off_at_one_coefficient(capsys, monkeypatch, case):
+    """One side of each verify kind put off at one coefficient makes the kind
+    exit 1 and list that coefficient.  The closed-form side is reached
+    through ``combinatorics.closed_form_count``; the other side through the
+    brute-force tally, the series solver, the series product or the
+    d-Catalan numbers."""
+    args, patch, context = _MUTATIONS[case]
+    monkeypatch.setattr(*patch())
+    code, out, _ = run(capsys, "verify", *args.split())
+    assert code == 1
+    contexts = [
+        {key: value for key, value in failure.items() if key not in ("lhs", "rhs")}
+        for failure in json.loads(out)["failures"]
+    ]
+    assert context in contexts
 
 
 def test_verify_narayana_wrong_d_exits_2(capsys):

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from linetrees.combinatorics import (
     ColorProfile,
     closed_form_count,
+    closed_form_table,
     exact_div,
     fuss_catalan_total,
     narayana,
     profiles_with_total,
 )
 from linetrees.errors import DomainError, IntegralityViolation
+from linetrees.limits import CAPS
 from linetrees.verification import dyck_paths_by_peaks, verify_narayana_bridge
 
 
@@ -169,3 +171,19 @@ def test_profiles_with_total_is_lexicographic_and_complete():
     assert out == sorted(out)
     assert len(out) == 6
     assert all(sum(p) == 2 for p in out)
+
+
+@pytest.mark.parametrize("n", [1, 4, 1000])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_closed_form_table_is_the_graded_loop(d, n):
+    """At each d's order cap the table equals the nested walk over totals and
+    profiles, with the same keys in the same order and the same integers."""
+    cap = CAPS["order"][d]
+    expected = {
+        p: closed_form_count(ColorProfile(d, p), n)
+        for total in range(cap + 1)
+        for p in profiles_with_total(d, total)
+    }
+    table = closed_form_table(d, n, cap)
+    assert list(table.items()) == list(expected.items())
+    assert all(type(c) is int for c in table.values())

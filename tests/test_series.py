@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from linetrees.combinatorics import ColorProfile, closed_form_count, profiles_with_total
 from linetrees.errors import DomainError
 from linetrees.limits import CAPS
-from linetrees import series
+from linetrees import combinatorics, series
 from linetrees.series import (
     MultiSeries,
     closed_form_series,
@@ -19,10 +19,13 @@ from linetrees.series import (
     verify_convolution,
     verify_geometric,
     verify_linear_recursion,
-    _collect_mismatches,
 )
 from linetrees.trees import count_by_profile_bruteforce
-from linetrees.verification import MAX_REPORTED_FAILURES, VerificationReport
+from linetrees.verification import (
+    MAX_REPORTED_FAILURES,
+    VerificationReport,
+    verify_fuss_catalan_rows,
+)
 
 
 def test_solve_order_zero_is_one():
@@ -88,6 +91,28 @@ def test_series_functions_reject_bad_colors_and_negative_orders():
     ],
 )
 def test_series_calls_reject_bad_levels_and_terms(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: closed_form_series(0, 1, 2),
+        lambda: verify_linear_recursion(0, 1, 2),
+        lambda: verify_linear_recursion(0, 0, 2),
+        lambda: verify_convolution(0, 1, 1, 2),
+        lambda: verify_fuss_catalan_rows(0, 3),
+        lambda: list(profiles_with_total(0, 2)),
+        lambda: list(profiles_with_total(-1, 0)),
+    ],
+    ids=[
+        "closed-form-series", "recursion", "recursion-n_max-0", "convolution",
+        "fuss-catalan", "profiles-d0", "profiles-d-1",
+    ],
+)
+def test_fewer_than_one_color_raises_domain_error(call):
+    """d below 1 is rejected, not walked into a recursion without end."""
     with pytest.raises(DomainError):
         call()
 
@@ -173,18 +198,6 @@ def test_verify_convolution_passes():
     assert verify_convolution(2, 1, 1, 4).ok
     assert verify_convolution(2, 2, 3, 6).ok
     assert verify_convolution(3, 2, 3, 5).ok
-
-
-def test_collect_mismatches_detects_differences():
-    a = MultiSeries(2, 2, {(1, 0): 1, (0, 1): 2})
-    b = MultiSeries(2, 2, {(1, 0): 1, (0, 1): 3, (2, 0): 4})
-    report = VerificationReport("test", 2, {})
-    _collect_mismatches(report, a, b, {"n": 0})
-    assert report.failures == [
-        ({"n": 0, "p": [0, 1]}, 2, 3),
-        ({"n": 0, "p": [2, 0]}, 0, 4),
-    ]
-    assert report.compared == 3 and not report.ok
 
 
 def test_report_that_compared_nothing_is_not_ok():
@@ -349,10 +362,12 @@ def product_form_recursion(d, n_max, order):
     levels += [series.closed_form_series(d, m, order) for m in range(1, n_max + d + 1)]
     report = VerificationReport("recursion", d, {"n_max": n_max, "order": order})
     for n in range(n_max + 1):
-        rhs = levels[n]
+        lhs, rhs = levels[n + 1], levels[n]
         for k in range(1, d + 1):
             rhs = add(rhs, naive_product(elementary[k], levels[n + k]))
-        _collect_mismatches(report, levels[n + 1], rhs, {"n": n})
+        # Every exponent nonzero on either side, in graded lexicographic order.
+        for p in sorted(set(lhs.coeffs) | set(rhs.coeffs), key=lambda p: (sum(p), p)):
+            report.check({"n": n, "p": list(p)}, lhs.coefficient(p), rhs.coefficient(p))
     return report
 
 
@@ -370,21 +385,17 @@ WRONG_COEFFICIENTS = {"off-by-one": lambda c: c + 1, "dropped": lambda c: 0}
 
 
 def break_closed_form(monkeypatch, level, p0, wrong):
-    """Make ``series.closed_form_series`` return ``wrong(c)`` in place of the
-    right coefficient c of the level-``level`` series at ``p0``; returns
-    wrong(c) - c."""
-    right = series.closed_form_series
+    """Make ``combinatorics.closed_form_count`` return ``wrong(c)`` in place
+    of the right level-``level`` count c of ``p0``, for every route that
+    evaluates the closed form; returns wrong(c) - c."""
+    right = combinatorics.closed_form_count
 
-    def broken(d, n, order):
-        out = right(d, n, order)
-        if n != level:
-            return out
-        coeffs = dict(out.coeffs)
-        coeffs[p0] = wrong(coeffs[p0])
-        return MultiSeries(d, order, coeffs)
+    def broken(profile, n=1):
+        c = right(profile, n)
+        return wrong(c) if (n, profile.counts) == (level, p0) else c
 
-    monkeypatch.setattr(series, "closed_form_series", broken)
-    c = closed_form_count(ColorProfile(len(p0), p0), level)
+    monkeypatch.setattr(combinatorics, "closed_form_count", broken)
+    c = right(ColorProfile(len(p0), p0), level)
     return wrong(c) - c
 
 
