@@ -22,6 +22,8 @@ turns into a loud :class:`IntegralityViolation`.
 from __future__ import annotations
 
 import math
+from itertools import combinations_with_replacement
+from operator import sub
 from typing import Iterator
 
 from .errors import DomainError, IntegralityViolation
@@ -56,6 +58,9 @@ class ColorProfile:
     def __hash__(self):
         return hash((self.d, self.counts))
 
+    def __iter__(self):
+        return iter(self.counts)
+
     def __repr__(self):
         return f"ColorProfile({self.d}, {self.counts})"
 
@@ -75,20 +80,19 @@ def exact_div(numerator: int, denominator: int) -> int:
     return quotient
 
 
-def closed_form_count(profile: ColorProfile, n: int = 1) -> int:
-    """Level-n count for a color profile: n/(P+n) * prod_j C(P+n, p_j).
+def closed_form_count(profile: ColorProfile | tuple[int, ...], n: int = 1) -> int:
+    """Level-n count n/(P+n) * prod_j C(P+n, p_j) of a ColorProfile or count tuple.
 
-    For n=1 this is the number of rooted line-colored trees whose edge
-    colors realize the profile exactly.  The division by P+n happens last
-    and must be exact.
+    For n=1 this is the number of rooted line-colored trees whose edge colors
+    realize the profile exactly; the division by P+n happens last and is exact.
     """
     if n < 1:
         raise DomainError(f"level n must be >= 1, got {n}")
-    p_total = profile.total
+    top = sum(profile) + n
     product = n
-    for p in profile.counts:
-        product *= math.comb(p_total + n, p)
-    return exact_div(product, p_total + n)
+    for p in profile:
+        product *= math.comb(top, p)
+    return exact_div(product, top)
 
 
 def fuss_catalan_total(d: int, p_vertices: int) -> int:
@@ -119,28 +123,24 @@ def narayana(n: int, k: int) -> int:
 
 
 def profiles_with_total(d: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Yield every length-d vector of non-negative ints summing to ``total``,
-    in lexicographic order; a d below 1 raises DomainError."""
+    """Yield every length-d vector of non-negative ints summing to ``total``
+    (none if it is negative) in lexicographic order; d < 1 raises DomainError."""
     if d < 1:
         raise DomainError(f"need d >= 1 entries, got {d}")
-    if d == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in profiles_with_total(d - 1, total - first):
-            yield (first,) + rest
+    if total >= 0:
+        for cuts in combinations_with_replacement(range(total + 1), d - 1):
+            yield tuple(map(sub, (*cuts, total), (0, *cuts)))
 
 
 def closed_form_table(d: int, n: int, max_total: int) -> dict[tuple[int, ...], int]:
-    """``{p: closed_form_count(ColorProfile(d, p), n)}`` over every profile
-    of total <= max_total, in graded lexicographic order (total, then
-    lexicographic); a zero value keeps its key, so a walk over the keys
-    compares every profile."""
+    """``{p: closed_form_count(p, n)}`` over every count tuple p of total at
+    most max_total, in graded lexicographic order (total, then lexicographic);
+    a zero value keeps its key, so a walk over the keys compares every profile."""
     check_colors(d)
     if max_total < 0:
         raise DomainError(f"max_total must be >= 0, got {max_total}")
     return {
-        p: closed_form_count(ColorProfile(d, p), n)
+        p: closed_form_count(p, n)
         for total in range(max_total + 1)
         for p in profiles_with_total(d, total)
     }

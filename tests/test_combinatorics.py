@@ -1,6 +1,7 @@
 """Tests for the exact counting formulas."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -166,24 +167,27 @@ def test_color_padding(counts, n):
     assert base == padded
 
 
-def test_profiles_with_total_is_lexicographic_and_complete():
-    out = list(profiles_with_total(3, 2))
-    assert out == sorted(out)
-    assert len(out) == 6
-    assert all(sum(p) == 2 for p in out)
+@pytest.mark.parametrize("t", range(-2, 6))
+@pytest.mark.parametrize("d", range(1, 7))
+def test_profiles_with_total_is_lexicographic_and_complete(d, t):
+    """Every vector of d non-negative ints summing to t, in lexicographic
+    order; none for a negative t, at every d."""
+    expected = [v for v in itertools.product(range(t + 1), repeat=d) if sum(v) == t]
+    assert list(profiles_with_total(d, t)) == expected
 
 
 @pytest.mark.parametrize("n", [1, 4, 1000])
 @pytest.mark.parametrize("d", range(2, 9))
 def test_closed_form_table_is_the_graded_loop(d, n):
-    """At each d's order cap the table equals the nested walk over totals and
-    profiles, with the same keys in the same order and the same integers."""
+    """At each d's order cap the table holds one key per profile of total at
+    most the cap, C(cap + d, d) of them, in graded lexicographic order, each
+    mapped to the closed form of its ColorProfile.  Up to d=5 the expected
+    keys come from the whole box, not from the walk the table uses; above it,
+    the count, the order and the totals of the keys pin them down."""
     cap = CAPS["order"][d]
-    expected = {
-        p: closed_form_count(ColorProfile(d, p), n)
-        for total in range(cap + 1)
-        for p in profiles_with_total(d, total)
-    }
     table = closed_form_table(d, n, cap)
-    assert list(table.items()) == list(expected.items())
-    assert all(type(c) is int for c in table.values())
+    assert len(table) == math.comb(cap + d, d)
+    keys = itertools.product(range(cap + 1), repeat=d) if d <= 5 else table
+    assert list(table) == sorted((p for p in keys if sum(p) <= cap), key=lambda p: (sum(p), p))
+    for p, count in table.items():
+        assert type(count) is int and count == closed_form_count(ColorProfile(d, p), n)

@@ -392,7 +392,7 @@ def break_closed_form(monkeypatch, level, p0, wrong):
 
     def broken(profile, n=1):
         c = right(profile, n)
-        return wrong(c) if (n, profile.counts) == (level, p0) else c
+        return wrong(c) if (n, tuple(profile)) == (level, p0) else c
 
     monkeypatch.setattr(combinatorics, "closed_form_count", broken)
     c = right(ColorProfile(len(p0), p0), level)
