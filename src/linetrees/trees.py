@@ -30,9 +30,11 @@ import itertools
 from collections import Counter
 from typing import Iterator
 
-from .combinatorics import ColorProfile, profiles_with_total
+from .combinatorics import profiles_with_total
 from .errors import DomainError
 from .limits import check_colors
+
+_TALLY_BATCH = 8192
 
 
 class ColoredTree:
@@ -129,25 +131,22 @@ def _trees_with_exact_lines(
     return out
 
 
-def count_by_profile_bruteforce(d: int, max_total: int) -> dict[ColorProfile, int]:
-    """Tally the enumeration by color profile.
+def count_by_profile_bruteforce(d: int, max_total: int) -> dict[tuple[int, ...], int]:
+    """Tally the enumeration by color profile, keyed by count tuple.
 
     The returned map has an entry for every profile with total <= max_total
     (every profile is realized by at least one chain).
     """
     # A tree's color word is its encoding with "(),:" deleted: one digit per
-    # edge, because every color is one digit (MAX_COLORS <= 9).  The words
-    # are counted first, then each distinct word is folded into its profile.
-    words = Counter(
-        map(
-            bytes.translate,
-            map(str.encode, enumerate_by_lines(d, max_total)),
-            itertools.repeat(None),
-            itertools.repeat(b"(),:"),
-        )
-    )
+    # edge, because every color is one digit (MAX_COLORS <= 9).  A batch of
+    # encodings takes one translate and one split; batching bounds the joined
+    # text's memory.  Each distinct word is then folded into its profile.
+    words: Counter[bytes] = Counter()
+    stream = enumerate_by_lines(d, max_total)
+    while batch := list(itertools.islice(stream, _TALLY_BATCH)):
+        words.update("\n".join(batch).encode().translate(None, b"(),:").split(b"\n"))
     digits = [str(color).encode() for color in range(1, d + 1)]
     tally: Counter[tuple[int, ...]] = Counter()
     for word, number in words.items():
         tally[tuple(map(word.count, digits))] += number
-    return {ColorProfile(d, counts): number for counts, number in tally.items()}
+    return dict(tally)

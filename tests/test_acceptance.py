@@ -43,8 +43,7 @@ def test_criterion_1_oracle_equivalence():
         tally = count_by_profile_bruteforce(d, max_total)
         for total in range(max_total + 1):
             for counts in profiles_with_total(d, total):
-                profile = ColorProfile(d, counts)
-                assert tally[profile] == closed_form_count(profile, 1)
+                assert tally[counts] == closed_form_count(ColorProfile(d, counts), 1)
     elapsed = time.time() - start
     assert elapsed < 120
     _ok(1, "oracle equivalence (exact)", elapsed)
@@ -52,10 +51,10 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_spot_values_by_enumeration():
     tally2 = count_by_profile_bruteforce(2, 3)
-    assert tally2[ColorProfile(2, (1, 1))] == 3 == closed_form_count(ColorProfile(2, (1, 1)))
-    assert tally2[ColorProfile(2, (2, 1))] == 6 == closed_form_count(ColorProfile(2, (2, 1)))
+    assert tally2[(1, 1)] == 3 == closed_form_count(ColorProfile(2, (1, 1)))
+    assert tally2[(2, 1)] == 6 == closed_form_count(ColorProfile(2, (2, 1)))
     tally3 = count_by_profile_bruteforce(3, 3)
-    assert tally3[ColorProfile(3, (1, 1, 1))] == 16 == closed_form_count(ColorProfile(3, (1, 1, 1)))
+    assert tally3[(1, 1, 1)] == 16 == closed_form_count(ColorProfile(3, (1, 1, 1)))
     _ok(2, "spot values 3 / 6 / 16 by enumeration")
 
 
@@ -96,8 +95,8 @@ def test_criterion_7_fuss_catalan_row_sums():
         # independent confirmation of the listed values by brute force
         tally = count_by_profile_bruteforce(d, len(values) - 1)
         by_total = Counter()
-        for profile, count in tally.items():
-            by_total[profile.total] += count
+        for counts, count in tally.items():
+            by_total[sum(counts)] += count
         assert [by_total[p - 1] for p in range(1, len(values) + 1)] == values
         for p_vertices, value in enumerate(values, start=1):
             row = sum(

@@ -438,7 +438,7 @@ def _tally_without(p):
 
     def tally(d, max_total):
         out = right(d, max_total)
-        del out[ColorProfile(d, p)]
+        del out[p]
         return out
 
     return trees, "count_by_profile_bruteforce", tally
