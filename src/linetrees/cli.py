@@ -36,7 +36,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .errors import DomainError, LineTreesError
-from .limits import DEFAULT_RESIDUAL_TOL, check_cap, check_colors
+from .limits import DEFAULT_RESIDUAL_TOL, check_cap, check_colors, check_profile
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -48,14 +48,12 @@ EXIT_BROKEN_PIPE = 141
 _BATCH_LINES = 1024
 
 
-def _parse_profile(text: str, d: int):
-    from .combinatorics import ColorProfile
-
+def _parse_profile(text: str, d: int) -> tuple[int, ...]:
     try:
         counts = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise DomainError(f"malformed profile {text!r}; expected comma-separated integers")
-    return ColorProfile(d, counts)
+    return check_profile(d, counts)
 
 
 def _parse_point(text: str) -> list[float]:
@@ -117,15 +115,15 @@ def _run_count(args) -> int:
     profile = _parse_profile(args.profile, args.d)
     if args.n < 1:
         raise DomainError(f"--n must be >= 1, got {args.n}")
-    check_cap("count profile total", profile.total)
+    check_cap("count profile total", sum(profile))
     check_cap("level", args.n)
     value = closed_form_count(profile, args.n)
     if args.format == "json":
-        _print_json({"profile": list(profile.counts), "n": args.n, "count": str(value)})
+        _print_json({"profile": list(profile), "n": args.n, "count": str(value)})
     elif args.format == "csv":
         _csv_out(
             ["profile", "n", "count"],
-            [[",".join(map(str, profile.counts)), args.n, str(value)]],
+            [[",".join(map(str, profile)), args.n, str(value)]],
         )
     else:
         print(value)
@@ -262,9 +260,9 @@ def _run_sample(args) -> int:
     profile = _parse_profile(args.profile, d)
     check_cap("sample count", args.count)
     request = SampleRequest(profile, args.count, args.seed)
-    check_cap("profile total", profile.total, d)
+    check_cap("profile total", sum(profile), d)
     samples = ProfileCountTable(d).sample_uniform(request)
-    _print_trees(samples, args.format, profile=list(profile.counts))
+    _print_trees(samples, args.format, profile=list(profile))
     return EXIT_OK
 
 

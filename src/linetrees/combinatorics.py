@@ -30,46 +30,6 @@ from .errors import DomainError, IntegralityViolation
 from .limits import check_colors
 
 
-class ColorProfile:
-    """Per-color edge counts (p_1, ..., p_D) of a tree, with D in
-    2..limits.MAX_COLORS colors.
-
-    A value: profiles with equal d and counts compare and hash equal, so a
-    profile can key a dict.  Treat an instance as immutable.
-    """
-
-    __slots__ = ("d", "counts")
-
-    def __init__(self, d: int, counts: tuple[int, ...]):
-        check_colors(d)
-        counts = tuple(counts)
-        if len(counts) != d:
-            raise DomainError(f"profile has {len(counts)} entries but d={d} colors")
-        if any(type(c) is not int or c < 0 for c in counts):
-            raise DomainError(f"profile entries must be non-negative integers: {counts}")
-        self.d = d
-        self.counts = counts
-
-    def __eq__(self, other):
-        if not isinstance(other, ColorProfile):
-            return NotImplemented
-        return self.d == other.d and self.counts == other.counts
-
-    def __hash__(self):
-        return hash((self.d, self.counts))
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __repr__(self):
-        return f"ColorProfile({self.d}, {self.counts})"
-
-    @property
-    def total(self) -> int:
-        """Total number of edges P, always recomputed from the counts."""
-        return sum(self.counts)
-
-
 def exact_div(numerator: int, denominator: int) -> int:
     """Divide exactly, raising IntegralityViolation on a nonzero remainder."""
     quotient, remainder = divmod(numerator, denominator)
@@ -80,8 +40,8 @@ def exact_div(numerator: int, denominator: int) -> int:
     return quotient
 
 
-def closed_form_count(profile: ColorProfile | tuple[int, ...], n: int = 1) -> int:
-    """Level-n count n/(P+n) * prod_j C(P+n, p_j) of a ColorProfile or count tuple.
+def closed_form_count(profile: tuple[int, ...], n: int = 1) -> int:
+    """Level-n count n/(P+n) * prod_j C(P+n, p_j) of a count tuple.
 
     For n=1 this is the number of rooted line-colored trees whose edge colors
     realize the profile exactly; the division by P+n happens last and is exact.

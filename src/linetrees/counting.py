@@ -52,9 +52,8 @@ from bisect import bisect_right
 from itertools import accumulate, count, product
 from operator import lt, mul
 
-from .combinatorics import ColorProfile
 from .errors import ColorError, ColorOrderError, DomainError, IndexOutOfRange, ParseError
-from .limits import check_colors
+from .limits import check_colors, check_profile
 
 _MASK64 = (1 << 64) - 1
 
@@ -68,12 +67,12 @@ _SMALL_COUNT = 64
 
 
 class SampleRequest:
-    """A deterministic sampling job: profile, number of draws, 64-bit seed.
-    Treat an instance as immutable."""
+    """A deterministic sampling job: profile (a count tuple), number of
+    draws, 64-bit seed.  Treat an instance as immutable."""
 
     __slots__ = ("profile", "count", "seed")
 
-    def __init__(self, profile: ColorProfile, count: int, seed: int):
+    def __init__(self, profile: tuple[int, ...], count: int, seed: int):
         if count < 1:
             raise DomainError(f"count must be >= 1, got {count}")
         if not 0 <= seed <= _MASK64:
@@ -162,12 +161,10 @@ class ProfileCountTable:
         # index, each filled on first use.
         self._small: dict[int, list[str | None]] = {}
 
-    def _check(self, profile: ColorProfile) -> tuple[int, ...]:
-        if profile.d != self.d:
-            raise DomainError(f"profile has d={profile.d}, table has d={self.d}")
-        return profile.counts
+    def _check(self, profile) -> tuple[int, ...]:
+        return check_profile(self.d, profile)
 
-    def recursive_count(self, profile: ColorProfile) -> int:
+    def recursive_count(self, profile: tuple[int, ...]) -> int:
         """Number of trees with the given profile, from the root recursion."""
         return self._count(self._check(profile))
 
@@ -228,7 +225,7 @@ class ProfileCountTable:
                     totals[k][q] = ends[-1]
         return counts[walk[-1]]
 
-    def unrank(self, profile: ColorProfile, index: int) -> str:
+    def unrank(self, profile: tuple[int, ...], index: int) -> str:
         """Encoding of the index-th tree with the given profile in the documented order."""
         p = self._check(profile)
         n = self._count(p)
@@ -286,7 +283,7 @@ class ProfileCountTable:
         texts.reverse()
         return template(*texts)
 
-    def rank(self, profile: ColorProfile, text: str) -> int:
+    def rank(self, profile: tuple[int, ...], text: str) -> int:
         """The index of the tree encoded by ``text`` among the trees with the
         given profile; the inverse of :meth:`unrank`.
 

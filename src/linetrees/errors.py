@@ -51,5 +51,5 @@ class RootFindingFailure(LineTreesError):
 
 
 class DegenerateError(LineTreesError):
-    """The polynomial degenerates (vanishing coefficient) where a closed
-    formula requires otherwise."""
+    """``roots.roots_all`` was given a polynomial Q that is constant once its
+    exactly-zero leading coefficients are deflated, so Q has no roots to find."""

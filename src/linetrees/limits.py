@@ -56,6 +56,18 @@ def check_colors(d: int) -> int:
     return d
 
 
+def check_profile(d: int, counts) -> tuple[int, ...]:
+    """Return ``counts`` as a color profile for ``d`` colors: a tuple of d
+    non-negative ints (bools rejected); raise DomainError otherwise."""
+    check_colors(d)
+    counts = tuple(counts)
+    if len(counts) != d:
+        raise DomainError(f"profile has {len(counts)} entries but d={d} colors")
+    if any(type(c) is not int or c < 0 for c in counts):
+        raise DomainError(f"profile entries must be non-negative integers: {counts}")
+    return counts
+
+
 def check_cap(name: str, value: int, d: int | None = None) -> int:
     """Return ``value`` if ``0 <= value <= CAPS[name]``, the cap taken for
     ``d`` colors when it is per-d.

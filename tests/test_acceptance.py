@@ -13,7 +13,6 @@ from scipy.stats import chi2
 
 from linetrees.cli import main
 from linetrees.combinatorics import (
-    ColorProfile,
     closed_form_count,
     fuss_catalan_total,
     narayana,
@@ -43,7 +42,7 @@ def test_criterion_1_oracle_equivalence():
         tally = count_by_profile_bruteforce(d, max_total)
         for total in range(max_total + 1):
             for counts in profiles_with_total(d, total):
-                assert tally[counts] == closed_form_count(ColorProfile(d, counts), 1)
+                assert tally[counts] == closed_form_count(counts, 1)
     elapsed = time.time() - start
     assert elapsed < 120
     _ok(1, "oracle equivalence (exact)", elapsed)
@@ -51,10 +50,10 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_spot_values_by_enumeration():
     tally2 = count_by_profile_bruteforce(2, 3)
-    assert tally2[(1, 1)] == 3 == closed_form_count(ColorProfile(2, (1, 1)))
-    assert tally2[(2, 1)] == 6 == closed_form_count(ColorProfile(2, (2, 1)))
+    assert tally2[(1, 1)] == 3 == closed_form_count((1, 1))
+    assert tally2[(2, 1)] == 6 == closed_form_count((2, 1))
     tally3 = count_by_profile_bruteforce(3, 3)
-    assert tally3[(1, 1, 1)] == 16 == closed_form_count(ColorProfile(3, (1, 1, 1)))
+    assert tally3[(1, 1, 1)] == 16 == closed_form_count((1, 1, 1))
     _ok(2, "spot values 3 / 6 / 16 by enumeration")
 
 
@@ -100,7 +99,7 @@ def test_criterion_7_fuss_catalan_row_sums():
         assert [by_total[p - 1] for p in range(1, len(values) + 1)] == values
         for p_vertices, value in enumerate(values, start=1):
             row = sum(
-                closed_form_count(ColorProfile(d, counts), 1)
+                closed_form_count(counts, 1)
                 for counts in profiles_with_total(d, p_vertices - 1)
             )
             assert row == value == fuss_catalan_total(d, p_vertices)
@@ -110,7 +109,7 @@ def test_criterion_7_fuss_catalan_row_sums():
 def test_criterion_8_narayana_bridge():
     for p1 in range(11):
         for p2 in range(11 - p1):
-            assert closed_form_count(ColorProfile(2, (p1, p2)), 1) == narayana(
+            assert closed_form_count((p1, p2), 1) == narayana(
                 p1 + p2 + 1, p1 + 1
             )
     _ok(8, "two-color counts form the Narayana triangle (exact)")
@@ -143,7 +142,7 @@ def test_criterion_10_growth_bound():
 
 
 def test_criterion_11_sampler_correctness(capsys):
-    profile = ColorProfile(3, (1, 1, 1))
+    profile = (1, 1, 1)
     table = ProfileCountTable(3)
     total = table.recursive_count(profile)
     assert total == 16

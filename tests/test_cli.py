@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from linetrees import combinatorics, series, trees, verification
 from linetrees.cli import VERIFY_KINDS, _build_parser, main
-from linetrees.combinatorics import ColorProfile
 from linetrees.counting import ProfileCountTable, SampleRequest
 from linetrees.errors import RootFindingFailure
 from linetrees.limits import CAPS, MAX_COLORS
@@ -133,7 +132,7 @@ def test_sample_json_lines_equal_json_dumps(capsys):
     argv = ("sample", "--d", "3", "--profile", "2,2,1", "--count", "50", "--seed", "9")
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    request = SampleRequest(ColorProfile(3, (2, 2, 1)), 50, 9)
+    request = SampleRequest((2, 2, 1), 50, 9)
     expected = (
         json.dumps({"tree": text, "profile": [2, 2, 1]}, allow_nan=False) + "\n"
         for text in ProfileCountTable(3).sample_uniform(request)
@@ -248,10 +247,10 @@ def test_tree_output_is_written_in_pipe_buf_pieces(argv):
     if argv[0] == "enumerate":
         encodings, fields = list(enumerate_by_lines(d, int(argv[4]))), {}
     else:
-        profile = ColorProfile(d, tuple(map(int, argv[4].split(","))))
+        profile = tuple(map(int, argv[4].split(",")))
         request = SampleRequest(profile, int(argv[6]), int(argv[8]))
         encodings = ProfileCountTable(d).sample_uniform(request)
-        fields = {"profile": list(profile.counts)}
+        fields = {"profile": list(profile)}
     for fmt in ("json", "text", "csv"):
         writes = recorded_writes(*argv, "--format", fmt)
         assert "".join(writes) == per_line_trees(encodings, fmt, **fields)
@@ -1226,8 +1225,7 @@ _STARTUP_MODULES = [
     (["verify", "narayana", "--d", "2", "--order", "6"], ["combinatorics", "verification"]),
     (["verify", "oracle", "--d", "2", "--order", "3"],
      ["combinatorics", "trees", "verification"]),
-    (["sample", "--d", "3", "--profile", "1,1,1", "--count", "3"],
-     ["combinatorics", "counting"]),
+    (["sample", "--d", "3", "--profile", "1,1,1", "--count", "3"], ["counting"]),
     (["roots", "--d", "2", "--g", "0.1,0.1"], ["roots"]),
 ]
 

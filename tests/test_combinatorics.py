@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linetrees.combinatorics import (
-    ColorProfile,
     closed_form_count,
     closed_form_table,
     exact_div,
@@ -17,29 +16,28 @@ from linetrees.combinatorics import (
     profiles_with_total,
 )
 from linetrees.errors import DomainError, IntegralityViolation
-from linetrees.limits import CAPS
+from linetrees.limits import CAPS, check_profile
 from linetrees.verification import dyck_paths_by_peaks, verify_narayana_bridge
 
 
-def test_color_profile_invariants():
-    p = ColorProfile(3, (1, 0, 2))
-    assert p.total == 3
+def test_check_profile():
+    assert check_profile(3, [1, 0, 2]) == (1, 0, 2)
     with pytest.raises(DomainError):
-        ColorProfile(2, (1, 1, 1))
+        check_profile(2, (1, 1, 1))
     with pytest.raises(DomainError):
-        ColorProfile(2, (1, -1))
+        check_profile(2, (1, -1))
     with pytest.raises(DomainError):
-        ColorProfile(2, (True, 0))
+        check_profile(2, (True, 0))
     with pytest.raises(DomainError):
-        ColorProfile(1, (1,))
+        check_profile(1, (1,))
     with pytest.raises(DomainError):
-        ColorProfile(9, (0,) * 9)
+        check_profile(9, (0,) * 9)
 
 
 def test_closed_form_known_values():
-    assert closed_form_count(ColorProfile(2, (0, 0)), 1) == 1
-    assert closed_form_count(ColorProfile(2, (1, 1)), 1) == 3
-    assert closed_form_count(ColorProfile(3, (1, 1, 1)), 1) == 16
+    assert closed_form_count((0, 0), 1) == 1
+    assert closed_form_count((1, 1), 1) == 3
+    assert closed_form_count((1, 1, 1), 1) == 16
 
 
 def test_closed_form_level_two_matches_convolution():
@@ -48,26 +46,25 @@ def test_closed_form_level_two_matches_convolution():
     convolved = 0
     for k1 in range(target[0] + 1):
         for k2 in range(target[1] + 1):
-            left = closed_form_count(ColorProfile(2, (k1, k2)), 1)
+            left = closed_form_count((k1, k2), 1)
             right = closed_form_count(
-                ColorProfile(2, (target[0] - k1, target[1] - k2)), 1
+                (target[0] - k1, target[1] - k2), 1
             )
             convolved += left * right
     assert convolved == 2
-    assert closed_form_count(ColorProfile(2, target), 2) == convolved
+    assert closed_form_count(target, 2) == convolved
 
 
 def test_closed_form_rejects_bad_level():
     with pytest.raises(DomainError):
-        closed_form_count(ColorProfile(2, (1, 1)), 0)
+        closed_form_count((1, 1), 0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_integrality_sweep(d):
     """The final division is exact for every profile total <= 12, n <= 6."""
     for total in range(13):
-        for counts in profiles_with_total(d, total):
-            profile = ColorProfile(d, counts)
+        for profile in profiles_with_total(d, total):
             for n in range(1, 7):
                 assert closed_form_count(profile, n) >= 0
 
@@ -87,8 +84,8 @@ def test_color_symmetry(d_and_counts, n, rng):
     d, counts = d_and_counts
     shuffled = list(counts)
     rng.shuffle(shuffled)
-    assert closed_form_count(ColorProfile(d, tuple(counts)), n) == closed_form_count(
-        ColorProfile(d, tuple(shuffled)), n
+    assert closed_form_count(tuple(counts), n) == closed_form_count(
+        tuple(shuffled), n
     )
 
 
@@ -96,7 +93,7 @@ def test_color_symmetry(d_and_counts, n, rng):
 def test_row_sums_are_fuss_catalan(d):
     for p_vertices in range(1, 9):
         row = sum(
-            closed_form_count(ColorProfile(d, counts), 1)
+            closed_form_count(counts, 1)
             for counts in profiles_with_total(d, p_vertices - 1)
         )
         assert row == fuss_catalan_total(d, p_vertices)
@@ -150,7 +147,7 @@ def test_narayana_bridge():
     for p1, p2 in itertools.product(range(11), repeat=2):
         if p1 + p2 > 10:
             continue
-        assert closed_form_count(ColorProfile(2, (p1, p2)), 1) == narayana(
+        assert closed_form_count((p1, p2), 1) == narayana(
             p1 + p2 + 1, p1 + 1
         )
 
@@ -162,8 +159,8 @@ def test_color_padding(counts, n):
     d = len(counts)
     if d + 1 > 8:
         return
-    base = closed_form_count(ColorProfile(d, tuple(counts)), n)
-    padded = closed_form_count(ColorProfile(d + 1, tuple(counts) + (0,)), n)
+    base = closed_form_count(tuple(counts), n)
+    padded = closed_form_count(tuple(counts) + (0,), n)
     assert base == padded
 
 
@@ -181,7 +178,7 @@ def test_profiles_with_total_is_lexicographic_and_complete(d, t):
 def test_closed_form_table_is_the_graded_loop(d, n):
     """At each d's order cap the table holds one key per profile of total at
     most the cap, C(cap + d, d) of them, in graded lexicographic order, each
-    mapped to the closed form of its ColorProfile.  Up to d=5 the expected
+    mapped to its closed form.  Up to d=5 the expected
     keys come from the whole box, not from the walk the table uses; above it,
     the count, the order and the totals of the keys pin them down."""
     cap = CAPS["order"][d]
@@ -190,4 +187,4 @@ def test_closed_form_table_is_the_graded_loop(d, n):
     keys = itertools.product(range(cap + 1), repeat=d) if d <= 5 else table
     assert list(table) == sorted((p for p in keys if sum(p) <= cap), key=lambda p: (sum(p), p))
     for p, count in table.items():
-        assert type(count) is int and count == closed_form_count(ColorProfile(d, p), n)
+        assert type(count) is int and count == closed_form_count(p, n)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linetrees.combinatorics import ColorProfile, closed_form_count, profiles_with_total
+from linetrees.combinatorics import closed_form_count, profiles_with_total
 from linetrees.counting import ProfileCountTable, SampleRequest, SplitMix64
 from linetrees.errors import (
     ColorError,
@@ -32,9 +32,9 @@ def brute_force_sets(d, max_total):
 
 def test_recursive_count_known_values():
     table = ProfileCountTable(2)
-    assert table.recursive_count(ColorProfile(2, (0, 0))) == 1
-    assert table.recursive_count(ColorProfile(2, (1, 1))) == 3
-    assert table.recursive_count(ColorProfile(2, (2, 1))) == 6
+    assert table.recursive_count((0, 0)) == 1
+    assert table.recursive_count((1, 1)) == 3
+    assert table.recursive_count((2, 1)) == 6
 
 
 @pytest.mark.parametrize("d,max_total", [(2, 6), (3, 6), (4, 4)])
@@ -43,9 +43,8 @@ def test_triple_agreement(d, max_total):
     table = ProfileCountTable(d)
     groups = brute_force_sets(d, max_total)
     for total in range(max_total + 1):
-        for counts in profiles_with_total(d, total):
-            profile = ColorProfile(d, counts)
-            expected = len(groups.get(counts, ()))
+        for profile in profiles_with_total(d, total):
+            expected = len(groups.get(profile, ()))
             assert table.recursive_count(profile) == expected
             assert closed_form_count(profile, 1) == expected
 
@@ -57,12 +56,10 @@ def test_recursive_count_matches_closed_form_at_five_to_eight_colors(d, max_tota
     total, on one table per d, and at the cap profiles on fresh tables."""
     table = ProfileCountTable(d)
     for total in range(max_total + 1):
-        for counts in profiles_with_total(d, total):
-            profile = ColorProfile(d, counts)
+        for profile in profiles_with_total(d, total):
             assert table.recursive_count(profile) == closed_form_count(profile, 1)
-    for counts in [(2, 2, 2, 2, 2), (2, 2, 1, 1, 1, 1, 1, 1)]:
-        if len(counts) == d:
-            profile = ColorProfile(d, counts)
+    for profile in [(2, 2, 2, 2, 2), (2, 2, 1, 1, 1, 1, 1, 1)]:
+        if len(profile) == d:
             assert ProfileCountTable(d).recursive_count(profile) == closed_form_count(profile, 1)
 
 
@@ -102,9 +99,9 @@ def test_shared_table_in_any_order_matches_fresh_tables(d, max_total, seed):
     a box counted in part recounts none of it but extends its split
     records."""
     profiles = [
-        ColorProfile(d, counts)
+        profile
         for total in range(max_total + 1)
-        for counts in profiles_with_total(d, total)
+        for profile in profiles_with_total(d, total)
     ]
     random.Random(seed).shuffle(profiles)
     shared = ProfileCountTable(d)
@@ -112,7 +109,7 @@ def test_shared_table_in_any_order_matches_fresh_tables(d, max_total, seed):
         fresh = ProfileCountTable(d)
         n = fresh.recursive_count(profile)
         assert shared.recursive_count(profile) == n
-        assert blocks_of(shared, profile.counts) == blocks_of(fresh, profile.counts)
+        assert blocks_of(shared, profile) == blocks_of(fresh, profile)
         shared_split_ends = split_ends_of(shared)
         for key, ends in split_ends_of(fresh).items():
             assert shared_split_ends[key] == ends
@@ -120,12 +117,12 @@ def test_shared_table_in_any_order_matches_fresh_tables(d, max_total, seed):
             assert shared.unrank(profile, index) == fresh.unrank(profile, index)
 
 def test_unrank_singleton():
-    assert ProfileCountTable(2).unrank(ColorProfile(2, (1, 0)), 0) == "(1:())"
+    assert ProfileCountTable(2).unrank((1, 0), 0) == "(1:())"
 
 
 def test_unrank_documented_order_for_1_1():
     table = ProfileCountTable(2)
-    profile = ColorProfile(2, (1, 1))
+    profile = (1, 1)
     got = [table.unrank(profile, i) for i in range(3)]
     # subset {1} first, then {2}, then {1,2}
     assert got == ["(1:(2:()))", "(2:(1:()))", "(1:(),2:())"]
@@ -134,7 +131,7 @@ def test_unrank_documented_order_for_1_1():
 
 def test_unrank_out_of_range():
     table = ProfileCountTable(2)
-    profile = ColorProfile(2, (1, 1))
+    profile = (1, 1)
     with pytest.raises(IndexOutOfRange):
         table.unrank(profile, 3)
     with pytest.raises(IndexOutOfRange):
@@ -148,27 +145,25 @@ def test_unrank_bijectivity(d):
     table = ProfileCountTable(d)
     groups = brute_force_sets(d, max_total)
     for total in range(max_total + 1):
-        for counts in profiles_with_total(d, total):
-            profile = ColorProfile(d, counts)
+        for profile in profiles_with_total(d, total):
             n = table.recursive_count(profile)
             encodings = set()
             for index in range(n):
                 text = table.unrank(profile, index)
                 tree = decode(text, d)
                 assert encode(tree) == text
-                assert profile_counts(tree, d) == counts
+                assert profile_counts(tree, d) == profile
                 encodings.add(text)
             assert len(encodings) == n
-            assert encodings == groups[counts]
+            assert encodings == groups[profile]
 
 
 def test_table_is_uncapped_past_the_cli_profile_total_cap():
     # The profile-total cap (30 at d=2) binds the CLI only.
     table = ProfileCountTable(2)
-    for counts in profiles_with_total(2, 32):
-        profile = ColorProfile(2, counts)
+    for profile in profiles_with_total(2, 32):
         assert table.recursive_count(profile) == closed_form_count(profile, 1)
-    profile = ColorProfile(3, (8, 8, 0))
+    profile = (8, 8, 0)
     assert ProfileCountTable(3).recursive_count(profile) == closed_form_count(profile, 1)
 
 
@@ -180,7 +175,38 @@ def test_table_rejects_bad_colors():
 
 def test_table_rejects_foreign_profile():
     with pytest.raises(DomainError):
-        ProfileCountTable(2).recursive_count(ColorProfile(3, (1, 1, 1)))
+        ProfileCountTable(2).recursive_count((1, 1, 1))
+
+
+# Each public table method, called on a d=2 table with a profile and fixed
+# other arguments that fit the profile (1, 1).
+TABLE_CALLS = {
+    "recursive_count": lambda table, profile: table.recursive_count(profile),
+    "unrank": lambda table, profile: table.unrank(profile, 1),
+    "rank": lambda table, profile: table.rank(profile, "(1:(),2:())"),
+    "sample_uniform": lambda table, profile: table.sample_uniform(SampleRequest(profile, 5, 7)),
+}
+
+
+@pytest.mark.parametrize("method", TABLE_CALLS)
+@pytest.mark.parametrize(
+    "profile,message",
+    [
+        ((1, 1, 1), r"profile has 3 entries but d=2 colors"),
+        ((1, -1), r"profile entries must be non-negative integers: \(1, -1\)"),
+        ((True, 1), r"profile entries must be non-negative integers: \(True, 1\)"),
+    ],
+    ids=["wrong-length", "negative", "bool"],
+)
+def test_every_table_method_checks_its_profile(method, profile, message):
+    with pytest.raises(DomainError, match=message):
+        TABLE_CALLS[method](ProfileCountTable(2), profile)
+
+
+@pytest.mark.parametrize("method", TABLE_CALLS)
+def test_every_table_method_takes_a_list_profile_as_its_tuple(method):
+    call = TABLE_CALLS[method]
+    assert call(ProfileCountTable(2), [1, 1]) == call(ProfileCountTable(2), (1, 1))
 
 
 def test_splitmix64_reference_stream():
@@ -234,7 +260,7 @@ def test_splitmix64_below_in_range(seed, bound):
 
 
 def test_sample_request_validation():
-    profile = ColorProfile(2, (1, 0))
+    profile = (1, 0)
     with pytest.raises(DomainError):
         SampleRequest(profile, 0, 1)
     with pytest.raises(DomainError):
@@ -244,19 +270,19 @@ def test_sample_request_validation():
 
 
 def test_sample_singleton_support():
-    request = SampleRequest(ColorProfile(2, (1, 0)), 5, 99)
+    request = SampleRequest((1, 0), 5, 99)
     assert ProfileCountTable(2).sample_uniform(request) == ["(1:())"] * 5
 
 
 def test_sample_determinism():
-    request = SampleRequest(ColorProfile(3, (1, 1, 1)), 50, 42)
+    request = SampleRequest((1, 1, 1), 50, 42)
     first = ProfileCountTable(3).sample_uniform(request)
     second = ProfileCountTable(3).sample_uniform(request)
     assert first == second
 
 
 def test_sample_marginals():
-    request = SampleRequest(ColorProfile(2, (2, 1)), 200, 7)
+    request = SampleRequest((2, 1), 200, 7)
     for text in ProfileCountTable(2).sample_uniform(request):
         tree = decode(text, 2)
         assert encode(tree) == text
@@ -340,13 +366,13 @@ def subtract(a, b):
 
 
 CAP_PROFILES = [
-    ColorProfile(2, (15, 15)),
-    ColorProfile(2, (20, 10)),
-    ColorProfile(3, (5, 5, 5)),
-    ColorProfile(4, (3, 3, 2, 2)),
-    ColorProfile(5, (2, 2, 2, 2, 2)),
-    ColorProfile(8, (2, 2, 1, 1, 1, 1, 1, 1)),
-    ColorProfile(8, (0, 0, 0, 0, 0, 0, 0, 10)),
+    (15, 15),
+    (20, 10),
+    (5, 5, 5),
+    (3, 3, 2, 2),
+    (2, 2, 2, 2, 2),
+    (2, 2, 1, 1, 1, 1, 1, 1),
+    (0, 0, 0, 0, 0, 0, 0, 10),
 ]
 
 
@@ -361,30 +387,29 @@ def test_unrank_matches_linear_scan_and_rank_inverts_it_on_small_profiles(d, max
     table = ProfileCountTable(d)
     reference = LinearScanUnranker(d)
     for total in range(max_total + 1):
-        for counts in profiles_with_total(d, total):
-            profile = ColorProfile(d, counts)
+        for profile in profiles_with_total(d, total):
             n = table.recursive_count(profile)
-            assert n == reference.count(counts)
+            assert n == reference.count(profile)
             for index in range(n):
                 text = table.unrank(profile, index)
-                assert text == encode(reference.unrank(counts, index))
+                assert text == encode(reference.unrank(profile, index))
                 assert table.rank(profile, text) == index
 
 
-@pytest.mark.parametrize("profile", CAP_PROFILES, ids=lambda p: ",".join(map(str, p.counts)))
+@pytest.mark.parametrize("profile", CAP_PROFILES, ids=lambda p: ",".join(map(str, p)))
 def test_unrank_matches_linear_scan_and_rank_inverts_it_at_cap_profiles(profile):
-    table = ProfileCountTable(profile.d)
-    reference = LinearScanUnranker(profile.d)
+    table = ProfileCountTable(len(profile))
+    reference = LinearScanUnranker(len(profile))
     n = table.recursive_count(profile)
-    for index in cap_indices(n, seed=profile.total):
+    for index in cap_indices(n, seed=sum(profile)):
         text = table.unrank(profile, index)
-        assert text == encode(reference.unrank(profile.counts, index))
+        assert text == encode(reference.unrank(profile, index))
         assert table.rank(profile, text) == index
 
 
 def test_boxes_list_each_remainder_in_order_with_mirrored_differences():
     table = ProfileCountTable(8)
-    table.recursive_count(ColorProfile(8, (2, 2, 1, 1, 1, 1, 1, 1)))
+    table.recursive_count((2, 2, 1, 1, 1, 1, 1, 1))
     assert table._splits
     vectors = vectors_of(table)
     for remainder, (box, _) in table._splits.items():
@@ -397,7 +422,7 @@ def test_boxes_list_each_remainder_in_order_with_mirrored_differences():
 
 def test_rank_rejects_invalid_or_foreign_trees():
     table = ProfileCountTable(2)
-    profile = ColorProfile(2, (1, 1))
+    profile = (1, 1)
     with pytest.raises(ColorError, match="duplicate color 1"):  # two color-1 edges at the root
         table.rank(profile, "(1:(),1:())")
     with pytest.raises(ColorOrderError, match="color 1 after 2"):
@@ -409,14 +434,14 @@ def test_rank_rejects_invalid_or_foreign_trees():
     assert exc.value.offset == 2
     with pytest.raises(DomainError, match=r"profile \(2, 0\), expected \(1, 1\)"):
         table.rank(profile, "(1:(1:()))")
-    with pytest.raises(DomainError, match="profile has d=3, table has d=2"):
-        table.rank(ColorProfile(3, (1, 1, 0)), "(1:(2:()))")
+    with pytest.raises(DomainError, match="profile has 3 entries but d=2 colors"):
+        table.rank((1, 1, 0), "(1:(2:()))")
 
 
 def test_rank_inverts_unrank_on_a_chain_of_max_depth():
     # The one tree with profile (MAX_DEPTH, 0) is a chain of MAX_DEPTH edges.
     table = ProfileCountTable(2)
-    profile = ColorProfile(2, (MAX_DEPTH, 0))
+    profile = (MAX_DEPTH, 0)
     text = table.unrank(profile, 0)
     assert text == "(1:" * MAX_DEPTH + "()" + ")" * MAX_DEPTH
     assert table.rank(profile, text) == 0
@@ -429,7 +454,7 @@ def deepest_unranked_chain():
     while fails - ranks > 1:
         edges = (ranks + fails) // 2
         try:
-            ProfileCountTable(2).unrank(ColorProfile(2, (edges, 0)), 0)
+            ProfileCountTable(2).unrank((edges, 0), 0)
             ranks = edges
         except RecursionError:
             fails = edges
@@ -438,20 +463,20 @@ def deepest_unranked_chain():
 
 def test_rank_inverts_unrank_at_every_depth_unrank_reaches():
     table = ProfileCountTable(2)
-    profile = ColorProfile(2, (699, 1))
+    profile = (699, 1)
     n = table.recursive_count(profile)
     for index in (0, 1, n // 2, n - 2, n - 1):
         assert table.rank(profile, table.unrank(profile, index)) == index
     edges = deepest_unranked_chain()
     assert edges > 900
-    deepest = ColorProfile(2, (edges, 0))
+    deepest = (edges, 0)
     assert table.rank(deepest, table.unrank(deepest, 0)) == 0
 
 
 def test_rank_takes_a_chain_of_5000_edges():
     # The parser keeps its open vertices on a list, not on Python's stack,
     # so this runs under the default recursion limit of 1000 frames.
-    assert ProfileCountTable(2).rank(ColorProfile(2, (5000, 0)), "(1:" * 5000 + "()" + ")" * 5000) == 0
+    assert ProfileCountTable(2).rank((5000, 0), "(1:" * 5000 + "()" + ")" * 5000) == 0
 
 
 def reference_error(d, profile, text):
@@ -461,8 +486,8 @@ def reference_error(d, profile, text):
         found = profile_counts(decode(text, d), d)
     except LineTreesError as error:
         return error
-    if found != profile.counts:
-        return DomainError(f"tree has profile {found}, expected {profile.counts}")
+    if found != profile:
+        return DomainError(f"tree has profile {found}, expected {profile}")
     return None
 
 
@@ -495,7 +520,7 @@ def assert_rank_matches_reference(table, profile, text):
     ],
 )
 def test_rank_raises_what_the_reference_raises_on_each_rejection_case(d, text):
-    assert_rank_matches_reference(ProfileCountTable(d), ColorProfile(d, (1,) * d), text)
+    assert_rank_matches_reference(ProfileCountTable(d), (1,) * d, text)
 
 
 def test_a_color_too_long_for_int_is_out_of_range():
@@ -503,7 +528,7 @@ def test_a_color_too_long_for_int_is_out_of_range():
     text = "(" + "9" * 5000 + ":())"
     message = f"color {'9' * 5000} out of range 1..3"
     with pytest.raises(ColorError) as exc:
-        ProfileCountTable(3).rank(ColorProfile(3, (1, 0, 0)), text)
+        ProfileCountTable(3).rank((1, 0, 0), text)
     assert str(exc.value) == message
     with pytest.raises(ColorError) as exc:
         decode(text, 3)
@@ -520,11 +545,11 @@ def ranked_texts(draw):
     small profile with up to three characters inserted, deleted or
     replaced."""
     d = draw(st.integers(2, 4))
-    profile = ColorProfile(d, tuple(draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))))
+    profile = tuple(draw(st.lists(st.integers(0, 2), min_size=d, max_size=d)))
     table = ProfileCountTable(d)
     if draw(st.booleans()):
         return table, profile, draw(st.text(alphabet=ALPHABET))
-    source = draw(st.sampled_from([profile, ColorProfile(d, (1,) * d), ColorProfile(d, (2,) + (0,) * (d - 1))]))
+    source = draw(st.sampled_from([profile, (1,) * d, (2,) + (0,) * (d - 1)]))
     text = table.unrank(source, draw(st.integers(0, table.recursive_count(source) - 1)))
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(text)))
@@ -575,7 +600,7 @@ def test_unrank_takes_one_frame_per_tree_level():
     # 32 in all, and Python 3.10 counts the deepest str.format call as one
     # level more: as deep as a plain recursion of 33 frames at most.  A
     # second frame per level with two children would need 30 more.
-    profile = ColorProfile(2, (30, 30))
+    profile = (30, 30)
     text = "(1:(),2:" * 30 + "()" + ")" * 30
     index = ProfileCountTable(2).rank(profile, text)
     assert ProfileCountTable(2).unrank(profile, index) == text
@@ -588,6 +613,6 @@ def test_unrank_reaches_past_the_decode_depth_limit():
     # per tree level, so a chain of 700 edges unranks, well past decode's
     # MAX_DEPTH of 450, with room below the default recursion limit.
     table = ProfileCountTable(2)
-    profile = ColorProfile(2, (699, 1))
+    profile = (699, 1)
     assert table.recursive_count(profile) == closed_form_count(profile, 1)
     assert table.unrank(profile, 0) == "(1:" * 699 + "(2:())" + ")" * 699

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linetrees.combinatorics import ColorProfile, closed_form_count, profiles_with_total
+from linetrees.combinatorics import closed_form_count, profiles_with_total
 from linetrees.errors import DomainError
 from linetrees.limits import CAPS
 from linetrees import combinatorics, series
@@ -172,12 +172,12 @@ def test_verify_linear_recursion_passes():
 
 def test_recursion_single_coefficient_by_hand():
     # level 2 at (1,1) decomposes into level 1/2/2/3 contributions
-    lhs = closed_form_count(ColorProfile(2, (1, 1)), 2)
+    lhs = closed_form_count((1, 1), 2)
     rhs = (
-        closed_form_count(ColorProfile(2, (1, 1)), 1)
-        + closed_form_count(ColorProfile(2, (0, 1)), 2)
-        + closed_form_count(ColorProfile(2, (1, 0)), 2)
-        + closed_form_count(ColorProfile(2, (0, 0)), 3)
+        closed_form_count((1, 1), 1)
+        + closed_form_count((0, 1), 2)
+        + closed_form_count((1, 0), 2)
+        + closed_form_count((0, 0), 3)
     )
     assert lhs == rhs == 8
 
@@ -392,10 +392,10 @@ def break_closed_form(monkeypatch, level, p0, wrong):
 
     def broken(profile, n=1):
         c = right(profile, n)
-        return wrong(c) if (n, tuple(profile)) == (level, p0) else c
+        return wrong(c) if (n, profile) == (level, p0) else c
 
     monkeypatch.setattr(combinatorics, "closed_form_count", broken)
-    c = right(ColorProfile(len(p0), p0), level)
+    c = right(p0, level)
     return wrong(c) - c
 
 

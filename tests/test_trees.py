@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linetrees.combinatorics import (
-    ColorProfile,
     closed_form_count,
     fuss_catalan_total,
     profiles_with_total,
@@ -246,7 +245,7 @@ def test_enumerate_is_uncapped_past_the_cli_line_cap():
     tally = count_by_profile_bruteforce(2, 9)
     for total in range(10):
         for counts in profiles_with_total(2, total):
-            assert tally.pop(counts) == closed_form_count(ColorProfile(2, counts), 1)
+            assert tally.pop(counts) == closed_form_count(counts, 1)
     assert tally == {}
 
 
