@@ -66,20 +66,33 @@ _LEAF = "()"
 _SMALL_COUNT = 64
 
 
+def _check_int(name: str, value) -> int:
+    """Return ``value`` if it is an int (bools rejected); raise DomainError
+    otherwise."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _check_seed(seed: int) -> int:
+    if not 0 <= _check_int("seed", seed) <= _MASK64:
+        raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
 class SampleRequest:
     """A deterministic sampling job: profile (a count tuple), number of
-    draws, 64-bit seed.  Treat an instance as immutable."""
+    draws, 64-bit seed; count and seed are ints.  Treat an instance as
+    immutable."""
 
     __slots__ = ("profile", "count", "seed")
 
     def __init__(self, profile: tuple[int, ...], count: int, seed: int):
-        if count < 1:
+        if _check_int("count", count) < 1:
             raise DomainError(f"count must be >= 1, got {count}")
-        if not 0 <= seed <= _MASK64:
-            raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
         self.profile = profile
         self.count = count
-        self.seed = seed
+        self.seed = _check_seed(seed)
 
 
 class SplitMix64:
@@ -90,9 +103,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= _MASK64:
-            raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
-        self._state = seed
+        self._state = _check_seed(seed)
 
     def next_word(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
@@ -226,8 +237,10 @@ class ProfileCountTable:
         return counts[walk[-1]]
 
     def unrank(self, profile: tuple[int, ...], index: int) -> str:
-        """Encoding of the index-th tree with the given profile in the documented order."""
+        """Encoding of the index-th tree with the given profile in the
+        documented order; ``index`` must be an int."""
         p = self._check(profile)
+        _check_int("index", index)
         n = self._count(p)
         if not 0 <= index < n:
             raise IndexOutOfRange(f"index {index} out of range for {n} trees with profile {p}")

@@ -1,4 +1,4 @@
-"""Tree data structure, canonical text encoding, and exhaustive enumeration.
+"""Canonical text encoding of trees, and exhaustive enumeration.
 
 This module is the brute-force oracle for the counting formulas: it builds
 every tree explicitly, as its canonical encoding, and never consults a closed
@@ -18,10 +18,11 @@ canonical text.
 
 The enumerator works on encodings alone: it fills one template per set of
 root colors, such as ``"(1:{},3:{})"``, with its children's finished
-encodings and yields plain strings, building no ``ColoredTree``; the
-unranker of :mod:`linetrees.counting` builds none either.  ``ColoredTree``
-and ``encode`` turn trees built as objects into text; the tests build their
-reference trees with them.
+encodings and yields plain strings, as the unranker of
+:mod:`linetrees.counting` does.  ``encode`` turns a tree given as plain data,
+a tuple of (color, subtree) pairs with the leaf ``()``, into its encoding;
+``(1:(2:()),3:())`` is ``((1, ((2, ()),)), (3, ()))``.  The tests build their
+reference trees this way.
 """
 
 from __future__ import annotations
@@ -37,41 +38,18 @@ from .limits import check_colors
 _TALLY_BATCH = 8192
 
 
-class ColoredTree:
-    """Rooted tree whose edges carry integer colors.
+def encode(tree: tuple) -> str:
+    """Canonical text form of a tree given as a tuple of (color, subtree)
+    pairs, the leaf being ``()``.
 
-    ``children`` holds (color, subtree) pairs; construction sorts them by
-    ascending color.  Trees compare and hash by their canonical encoding,
-    so structurally equal trees are equal, however deep.  Validity
-    (distinct colors in range at every vertex) is not enforced.  Treat an
-    instance as immutable.
-    """
-
-    __slots__ = ("children",)
-
-    def __init__(self, children: tuple[tuple[int, ColoredTree], ...] = ()):
-        self.children = tuple(sorted(children, key=lambda entry: entry[0]))
-
-    def __eq__(self, other):
-        if not isinstance(other, ColoredTree):
-            return NotImplemented
-        return encode(self) == encode(other)
-
-    def __hash__(self):
-        return hash(encode(self))
-
-    def __repr__(self):
-        return f"<ColoredTree {encode(self)}>"
-
-
-def encode(tree: ColoredTree) -> str:
-    """Canonical text form of a tree; children appear in ascending color order.
-
-    Iterative, so any depth encodes: the stack holds, last to be written
-    first, the subtrees still to write and the text between them.
+    Children are written in ascending color order, whatever their order in
+    the tuple; colors are not checked.  The tuples compare and hash as
+    tuples, so two orders of the same children encode alike but are not
+    equal.  Iterative, so any depth encodes: the stack holds, last to be
+    written first, the subtrees still to write and the text between them.
     """
     out: list[str] = []
-    stack: list[ColoredTree | str] = [tree]
+    stack: list[tuple | str] = [tree]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
@@ -79,7 +57,7 @@ def encode(tree: ColoredTree) -> str:
             continue
         out.append("(")
         stack.append(")")
-        children = item.children
+        children = sorted(item, key=lambda entry: entry[0])
         for i in range(len(children) - 1, -1, -1):
             color, child = children[i]
             stack.append(child)

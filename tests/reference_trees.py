@@ -1,27 +1,26 @@
 """Reference parser of the canonical tree encoding, for the tests.
 
-``decode`` parses an encoding by recursive descent into a
-:class:`linetrees.trees.ColoredTree`, and ``profile_counts`` counts a tree's
-edges per color.  The enumerator and the unranker are tested against them,
+``decode`` parses an encoding by recursive descent into plain data, a tuple
+of (color, subtree) pairs in ascending color order with the leaf ``()``, and
+``profile_counts`` counts such a tree's edges per color.  The enumerator and the unranker are tested against them,
 and ``ProfileCountTable.rank``, which parses the same grammar in one
 iterative pass, must raise what they raise.  ``decode`` recurses once per
 tree level, so it stops at MAX_DEPTH.
 """
 
 from linetrees.errors import ColorError, ColorOrderError, ParseError
-from linetrees.trees import ColoredTree
 
 # Deepest vertex, in edges from the root, that decode accepts; decode
 # recurses once per level, and Python allows 1000 frames by default.
 MAX_DEPTH = 450
 
 
-def profile_counts(tree: ColoredTree, d: int) -> tuple[int, ...]:
+def profile_counts(tree: tuple, d: int) -> tuple[int, ...]:
     """Per-color edge counts of a valid tree, as a length-d tuple."""
     counts = [0] * d
 
-    def walk(node: ColoredTree) -> None:
-        for color, child in node.children:
+    def walk(node: tuple) -> None:
+        for color, child in node:
             if not 1 <= color <= d:
                 raise ColorError(f"color {color} out of range 1..{d}")
             counts[color - 1] += 1
@@ -31,7 +30,7 @@ def profile_counts(tree: ColoredTree, d: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def decode(text: str, d: int) -> ColoredTree:
+def decode(text: str, d: int) -> tuple:
     """Parse a canonical encoding, enforcing the grammar and canonical order.
 
     Raises ParseError (with byte offset) on malformed syntax or nesting
@@ -44,15 +43,15 @@ def decode(text: str, d: int) -> ColoredTree:
     return tree
 
 
-def _parse_tree(text: str, pos: int, d: int, depth: int) -> tuple[ColoredTree, int]:
+def _parse_tree(text: str, pos: int, d: int, depth: int) -> tuple[tuple, int]:
     if pos >= len(text) or text[pos] != "(":
         raise ParseError("expected '('", pos)
     if depth > MAX_DEPTH:
         raise ParseError(f"nesting deeper than {MAX_DEPTH} edges", pos)
     pos += 1
     if pos < len(text) and text[pos] == ")":
-        return ColoredTree(), pos + 1
-    entries: list[tuple[int, ColoredTree]] = []
+        return (), pos + 1
+    entries: list[tuple[int, tuple]] = []
     previous_color = 0
     while True:
         color, pos = _parse_color(text, pos, d)
@@ -73,7 +72,7 @@ def _parse_tree(text: str, pos: int, d: int, depth: int) -> tuple[ColoredTree, i
             pos += 1
             continue
         if text[pos] == ")":
-            return ColoredTree(tuple(entries)), pos + 1
+            return tuple(entries), pos + 1
         raise ParseError("expected ',' or ')'", pos)
 
 

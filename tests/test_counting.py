@@ -18,7 +18,7 @@ from linetrees.errors import (
     LineTreesError,
     ParseError,
 )
-from linetrees.trees import ColoredTree, encode, enumerate_by_lines
+from linetrees.trees import encode, enumerate_by_lines
 from reference_trees import MAX_DEPTH, decode, profile_counts
 
 
@@ -269,6 +269,34 @@ def test_sample_request_validation():
         SampleRequest(profile, 1, 2**64)
 
 
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: ProfileCountTable(2).unrank((1, 1), 1.5), "index"),
+        (lambda: ProfileCountTable(2).unrank((1, 1), True), "index"),
+        (lambda: SampleRequest((1, 1), 1.5, 0), "count"),
+        (lambda: SampleRequest((1, 1), True, 0), "count"),
+        (lambda: SampleRequest((1, 1), 1, 1.5), "seed"),
+        (lambda: SampleRequest((1, 1), 1, False), "seed"),
+        (lambda: SplitMix64(1.5), "seed"),
+        (lambda: SplitMix64(True), "seed"),
+    ],
+    ids=[
+        "unrank-index=1.5",
+        "unrank-index=True",
+        "request-count=1.5",
+        "request-count=True",
+        "request-seed=1.5",
+        "request-seed=False",
+        "splitmix64-seed=1.5",
+        "splitmix64-seed=True",
+    ],
+)
+def test_index_count_and_seed_must_be_ints(call, name):
+    with pytest.raises(DomainError, match=rf"^{name} must be an integer, got (1\.5|True|False)$"):
+        call()
+
+
 def test_sample_singleton_support():
     request = SampleRequest((1, 0), 5, 99)
     assert ProfileCountTable(2).sample_uniform(request) == ["(1:())"] * 5
@@ -326,7 +354,7 @@ class LinearScanUnranker:
 
     def unrank(self, p, index):
         if not any(p):
-            return ColoredTree()
+            return ()
         for colors in self.admissible(p):
             remainder = minus_indicator(p, colors)
             block = self.split_sum(len(colors), remainder)
@@ -351,9 +379,9 @@ class LinearScanUnranker:
                 index, sub = divmod(index, radix)
                 sub_indices.append(sub)
             sub_indices.reverse()
-            return ColoredTree(tuple(
+            return tuple(
                 (color, self.unrank(q, sub)) for color, q, sub in zip(colors, parts, sub_indices)
-            ))
+            )
         raise AssertionError("index below total count but no subset matched")
 
 

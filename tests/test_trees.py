@@ -1,5 +1,5 @@
-"""Tests for the tree structure, canonical encoding, and brute-force enumeration,
-and for the reference parser ``reference_trees.decode``."""
+"""Tests for the canonical encoding and brute-force enumeration, and for the
+reference parser ``reference_trees.decode``."""
 
 import itertools
 from collections import Counter
@@ -15,31 +15,34 @@ from linetrees.combinatorics import (
 )
 from linetrees.errors import ColorError, ColorOrderError, DomainError, LineTreesError, ParseError
 from linetrees.limits import CAPS, MAX_COLORS
-from linetrees.trees import ColoredTree, count_by_profile_bruteforce, encode, enumerate_by_lines
+from linetrees.trees import count_by_profile_bruteforce, encode, enumerate_by_lines
 from linetrees.verification import verify_oracle
 from reference_trees import MAX_DEPTH, decode, profile_counts
 
-LEAF = ColoredTree()
+LEAF = ()
 
 
 def chain(*colors):
     tree = LEAF
     for color in reversed(colors):
-        tree = ColoredTree(((color, tree),))
+        tree = ((color, tree),)
     return tree
 
 
 def test_encode_known_trees():
     assert encode(LEAF) == "()"
     assert encode(chain(1, 2)) == "(1:(2:()))"
-    assert encode(ColoredTree(((2, LEAF), (1, LEAF)))) == "(1:(),2:())"
+    assert encode(((1, ((2, LEAF),)), (3, LEAF))) == "(1:(2:()),3:())"
 
 
-def test_children_sorted_on_construction():
-    a = ColoredTree(((2, LEAF), (1, LEAF)))
-    b = ColoredTree(((1, LEAF), (2, LEAF)))
-    assert a == b
-    assert hash(a) == hash(b)
+def test_encode_writes_children_in_ascending_color_order():
+    assert encode(((2, ()), (1, ()))) == encode(((1, ()), (2, ()))) == "(1:(),2:())"
+
+
+def test_encode_takes_a_chain_of_5000_edges():
+    # encode keeps the subtrees still to write on a list, not on Python's
+    # stack, so this runs under the default recursion limit of 1000 frames.
+    assert encode(chain(*[1] * 5000)) == "(1:" * 5000 + "()" + ")" * 5000
 
 
 def test_decode_round_trip_examples():
@@ -105,7 +108,7 @@ def test_decode_accepts_only_canonical_text(text):
 def test_decode_round_trip_accepts_only_valid_trees():
     assert decode(encode(LEAF), 2) == LEAF
     with pytest.raises(ColorError):
-        decode(encode(ColoredTree(((1, LEAF), (1, LEAF)))), 2)
+        decode(encode(((1, LEAF), (1, LEAF))), 2)
     assert decode(encode(chain(1, 2)), 2) == chain(1, 2)
     with pytest.raises(ColorError):
         decode(encode(chain(1, 2)), 1)
@@ -124,8 +127,9 @@ def test_decode_rejects_nesting_deeper_than_max_depth():
 
 
 def test_chain_of_max_depth_round_trips():
-    """encode, == and hash work at the deepest nesting decode accepts; they
-    do not recurse, so the depth is not limited by Python's recursion."""
+    """encode, == and hash work at the deepest nesting decode accepts.  Only
+    encode is package code, and it does not recurse; == and hash are the
+    tuple's own."""
     text = "(1:" * MAX_DEPTH + "()" + ")" * MAX_DEPTH
     tree = decode(text, 2)
     assert encode(tree) == text
@@ -144,10 +148,9 @@ def colored_trees(draw, d=3, depth=3):
     colors = draw(
         st.lists(st.integers(1, d), min_size=kids, max_size=kids, unique=True)
     )
-    children = tuple(
+    return tuple(
         (c, draw(colored_trees(d=d, depth=depth - 1))) for c in sorted(colors)
     )
-    return ColoredTree(children)
 
 
 @given(colored_trees())
