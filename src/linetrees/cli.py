@@ -36,7 +36,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .errors import DomainError, LineTreesError
-from .limits import DEFAULT_RESIDUAL_TOL, check_cap, check_colors, check_profile
+from .limits import DEFAULT_RESIDUAL_TOL, check_cap, check_colors, check_int, check_profile
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -113,8 +113,7 @@ def _run_count(args) -> int:
     from .combinatorics import closed_form_count
 
     profile = _parse_profile(args.profile, args.d)
-    if args.n < 1:
-        raise DomainError(f"--n must be >= 1, got {args.n}")
+    check_int("--n", args.n, 1)
     check_cap("count profile total", sum(profile))
     check_cap("level", args.n)
     value = closed_form_count(profile, args.n)

@@ -27,7 +27,7 @@ from operator import sub
 from typing import Iterator
 
 from .errors import DomainError, IntegralityViolation
-from .limits import check_colors
+from .limits import check_colors, check_int
 
 
 def exact_div(numerator: int, denominator: int) -> int:
@@ -46,8 +46,7 @@ def closed_form_count(profile: tuple[int, ...], n: int = 1) -> int:
     For n=1 this is the number of rooted line-colored trees whose edge colors
     realize the profile exactly; the division by P+n happens last and is exact.
     """
-    if n < 1:
-        raise DomainError(f"level n must be >= 1, got {n}")
+    check_int("level n", n, 1)
     top = sum(profile) + n
     product = n
     for p in profile:
@@ -63,8 +62,7 @@ def fuss_catalan_total(d: int, p_vertices: int) -> int:
     P - 1 edges.
     """
     check_colors(d)
-    if p_vertices < 1:
-        raise DomainError(f"need at least one vertex, got {p_vertices}")
+    check_int("p_vertices", p_vertices, 1)
     top = d * p_vertices + 1
     return exact_div(math.comb(top, p_vertices), top)
 
@@ -75,18 +73,18 @@ def narayana(n: int, k: int) -> int:
     Two-color profile counts form the Narayana triangle:
     count(p1, p2) = N(p1 + p2 + 1, p1 + 1).
     """
-    if n < 1:
-        raise DomainError(f"narayana requires n >= 1, got {n}")
-    if k < 1 or k > n:
+    check_int("n", n, 1)
+    check_int("k", k, 1)
+    if k > n:
         raise DomainError(f"narayana requires 1 <= k <= n, got k={k}, n={n}")
     return exact_div(math.comb(n, k) * math.comb(n, k - 1), n)
 
 
 def profiles_with_total(d: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Yield every length-d vector of non-negative ints summing to ``total``
-    (none if it is negative) in lexicographic order; d < 1 raises DomainError."""
-    if d < 1:
-        raise DomainError(f"need d >= 1 entries, got {d}")
+    """Yield every length-d vector of non-negative ints summing to the int
+    ``total`` (none if it is negative) in lexicographic order, for an int d >= 1."""
+    check_int("d", d, 1)
+    check_int("total", total, None)
     if total >= 0:
         for cuts in combinations_with_replacement(range(total + 1), d - 1):
             yield tuple(map(sub, (*cuts, total), (0, *cuts)))
@@ -97,8 +95,7 @@ def closed_form_table(d: int, n: int, max_total: int) -> dict[tuple[int, ...], i
     most max_total, in graded lexicographic order (total, then lexicographic);
     a zero value keeps its key, so a walk over the keys compares every profile."""
     check_colors(d)
-    if max_total < 0:
-        raise DomainError(f"max_total must be >= 0, got {max_total}")
+    check_int("max_total", max_total)
     return {
         p: closed_form_count(p, n)
         for total in range(max_total + 1)

@@ -53,7 +53,7 @@ from itertools import accumulate, count, product
 from operator import lt, mul
 
 from .errors import ColorError, ColorOrderError, DomainError, IndexOutOfRange, ParseError
-from .limits import check_colors, check_profile
+from .limits import check_colors, check_int, check_profile
 
 _MASK64 = (1 << 64) - 1
 
@@ -66,32 +66,21 @@ _LEAF = "()"
 _SMALL_COUNT = 64
 
 
-def _check_int(name: str, value) -> int:
-    """Return ``value`` if it is an int (bools rejected); raise DomainError
-    otherwise."""
-    if type(value) is not int:
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _check_seed(seed: int) -> int:
-    if not 0 <= _check_int("seed", seed) <= _MASK64:
+    if not 0 <= check_int("seed", seed, None) <= _MASK64:
         raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seed
 
 
 class SampleRequest:
     """A deterministic sampling job: profile (a count tuple), number of
-    draws, 64-bit seed; count and seed are ints.  Treat an instance as
-    immutable."""
+    draws and 64-bit seed.  Treat an instance as immutable."""
 
     __slots__ = ("profile", "count", "seed")
 
     def __init__(self, profile: tuple[int, ...], count: int, seed: int):
-        if _check_int("count", count) < 1:
-            raise DomainError(f"count must be >= 1, got {count}")
         self.profile = profile
-        self.count = count
+        self.count = check_int("count", count, 1)
         self.seed = _check_seed(seed)
 
 
@@ -119,8 +108,7 @@ class SplitMix64:
         the low ``bits`` bits, and rejects values >= bound, so every residue
         is exactly equally likely.
         """
-        if bound < 1:
-            raise DomainError(f"bound must be >= 1, got {bound}")
+        check_int("bound", bound, 1)
         bits = (bound - 1).bit_length()
         if bits == 0:
             return 0
@@ -240,7 +228,7 @@ class ProfileCountTable:
         """Encoding of the index-th tree with the given profile in the
         documented order; ``index`` must be an int."""
         p = self._check(profile)
-        _check_int("index", index)
+        check_int("index", index, None)
         n = self._count(p)
         if not 0 <= index < n:
             raise IndexOutOfRange(f"index {index} out of range for {n} trees with profile {p}")
@@ -301,14 +289,16 @@ class ProfileCountTable:
         given profile; the inverse of :meth:`unrank`.
 
         One pass over the text with an explicit stack, so a tree of any
-        depth ranks.  The text must be a canonical encoding (grammar in
-        :mod:`linetrees.trees`): malformed syntax raises ParseError with its
-        byte offset, an out-of-range or duplicate color ColorError, and
-        children out of ascending color order ColorOrderError.  A tree of
-        another color profile raises DomainError once the whole text has
-        parsed.
+        depth ranks.  The text must be a ``str`` holding a canonical
+        encoding (grammar in :mod:`linetrees.trees`): any other type raises
+        DomainError, malformed syntax ParseError with its byte offset, an
+        out-of-range or duplicate color ColorError, and children out of
+        ascending color order ColorOrderError.  A tree of another color
+        profile raises DomainError once the whole text has parsed.
         """
         p = self._check(profile)
+        if not isinstance(text, str):
+            raise DomainError(f"text must be a str, got {text!r}")
         self._count(p)
         d, end = self.d, len(text)
         colors = {str(color): color for color in range(1, d + 1)}

@@ -10,7 +10,8 @@ less and no decimal count it prints reaches Python's 4300-digit limit on
 int-to-str conversion; ``cli`` applies them to its input before any work.
 The README's "Budgets and caps" table lists these values with the worst
 measured time at each.  Caps keyed by the number of colors d hold one entry
-per d in 2..MAX_COLORS.
+per d in 2..MAX_COLORS.  ``check_int`` is the one check of an integer
+argument, in the library and the command line alike.
 """
 
 from __future__ import annotations
@@ -48,6 +49,16 @@ CAPS: dict[str, int | dict[int, int]] = {
 DEFAULT_RESIDUAL_TOL = 1e-10
 
 
+def check_int(name: str, value, low: int | None = 0) -> int:
+    """Return ``value`` if it is an int (bools rejected) of at least ``low``,
+    or of any size when ``low`` is None; raise DomainError otherwise."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def check_colors(d: int) -> int:
     """Return ``d`` if it is a supported number of colors, an int in
     2..MAX_COLORS; raise DomainError otherwise."""
@@ -69,14 +80,10 @@ def check_profile(d: int, counts) -> tuple[int, ...]:
 
 
 def check_cap(name: str, value: int, d: int | None = None) -> int:
-    """Return ``value`` if ``0 <= value <= CAPS[name]``, the cap taken for
-    ``d`` colors when it is per-d.
-
-    Raises DomainError for a negative value and BudgetExceeded when
-    ``value`` exceeds the cap.
-    """
-    if value < 0:
-        raise DomainError(f"{name} must be >= 0, got {value}")
+    """Return ``value`` if ``check_int`` accepts it and it is at most
+    ``CAPS[name]``, the cap taken for ``d`` colors when it is per-d; raise
+    BudgetExceeded above the cap."""
+    check_int(name, value)
     cap = CAPS[name]
     if isinstance(cap, dict):
         cap = cap[check_colors(d)]

@@ -43,7 +43,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .limits import check_colors
+from .limits import check_colors, check_int
 
 
 class MultiSeries:
@@ -59,10 +59,8 @@ class MultiSeries:
     __slots__ = ("d", "order", "coeffs")
 
     def __init__(self, d: int, order: int, coeffs: dict[tuple[int, ...], int] | None = None):
-        if d < 1:
-            raise DomainError(f"need d >= 1 variables, got {d}")
-        if order < 0:
-            raise DomainError(f"order must be >= 0, got {order}")
+        self.d = check_int("d", d, 1)
+        self.order = check_int("order", order)
         cleaned: dict[tuple[int, ...], int] = {}
         for key, value in (coeffs or {}).items():
             key = tuple(key)
@@ -72,8 +70,6 @@ class MultiSeries:
                 raise DomainError(f"coefficient at {key} is not an integer: {value!r}")
             if value != 0 and sum(key) <= order:
                 cleaned[key] = value
-        self.d = d
-        self.order = order
         self.coeffs = cleaned
 
     def __eq__(self, other):
@@ -177,8 +173,7 @@ def solve_tree_equation(d: int, order: int) -> MultiSeries:
     convergence test.
     """
     check_colors(d)
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order}")
+    check_int("order", order)
     places = _places(d, order)
     # e_k as its packed terms: one squarefree monomial per k-set of colors.
     elementary = [
@@ -226,8 +221,7 @@ def verify_linear_recursion(d: int, n_max: int, order: int) -> VerificationRepor
     from .verification import VerificationReport
 
     check_colors(d)
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    check_int("n_max", n_max)
     levels = [{(0,) * d: 1}]
     levels += [closed_form_table(d, m, order) for m in range(1, n_max + d + 1)]
     # rhs[n] lists the right side at each profile, in the order of the keys.
@@ -255,8 +249,7 @@ def verify_geometric(d: int, n_max: int, order: int) -> VerificationReport:
     from .combinatorics import closed_form_table
     from .verification import VerificationReport
 
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    check_int("n_max", n_max, 1)
     base = solve_tree_equation(d, order)
     power = base
     report = VerificationReport("geometric", d, {"n_max": n_max, "order": order})
@@ -275,8 +268,8 @@ def verify_convolution(d: int, n: int, m: int, order: int) -> VerificationReport
     from .combinatorics import closed_form_table
     from .verification import VerificationReport
 
-    if n < 1 or m < 1:
-        raise DomainError(f"levels must be >= 1, got n={n}, m={m}")
+    check_int("n", n, 1)
+    check_int("m", m, 1)
     product = closed_form_series(d, n, order) * closed_form_series(d, m, order)
     report = VerificationReport("convolution", d, {"n": n, "m": m, "order": order})
     for p, count in closed_form_table(d, n + m, order).items():

@@ -32,8 +32,7 @@ from collections import Counter
 from typing import Iterator
 
 from .combinatorics import profiles_with_total
-from .errors import DomainError
-from .limits import check_colors
+from .limits import check_colors, check_int
 
 _TALLY_BATCH = 8192
 
@@ -71,12 +70,11 @@ def enumerate_by_lines(d: int, max_lines: int) -> Iterator[str]:
 
     Encodings come out in increasing order of total edge count and, within
     one count, in lexicographic order.  The stream is fully deterministic.
-    A d outside 2..MAX_COLORS or a negative ``max_lines`` raises DomainError
-    at the call, before the first encoding.
+    A d outside 2..MAX_COLORS, or a ``max_lines`` that is a float, a bool or
+    negative, raises DomainError at the call, before the first encoding.
     """
     check_colors(d)
-    if max_lines < 0:
-        raise DomainError(f"max_lines must be >= 0, got {max_lines}")
+    check_int("max_lines", max_lines)
     return _enumerate_levels(d, max_lines)
 
 

@@ -10,7 +10,7 @@ import itertools
 from operator import add
 
 from .combinatorics import closed_form_table, fuss_catalan_total
-from .errors import DomainError
+from .limits import check_int
 
 
 # Failures a report lists; ``failure_count`` still counts them all.
@@ -65,8 +65,7 @@ def verify_fuss_catalan_rows(d: int, p_max: int) -> VerificationReport:
     """Check that profile counts at fixed total sum to the d-Catalan numbers:
     sum over profiles with P-1 edges of count(profile) == fuss_catalan_total(d, P).
     """
-    if p_max < 1:
-        raise DomainError(f"p_max must be >= 1 to check any row, got {p_max}")
+    check_int("p_max", p_max, 1)
     table = closed_form_table(d, 1, p_max - 1)
     report = VerificationReport("fuss-catalan", d, {"p_max": p_max})
     # The table's keys run by total, so each group is one row.
@@ -92,6 +91,7 @@ def dyck_paths_by_peaks(n_max: int) -> list[list[int]]:
     above the steps left are dropped, since no path returns from them, and
     the paths back at height 0 after 2n steps give row n.
     """
+    check_int("n_max", n_max)
     steps = 2 * n_max
     # ups[h] and downs[h]: paths at height h whose last step is up, or down
     # (or no step yet), as counts indexed by the number of peaks.

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linetrees.combinatorics import closed_form_count, profiles_with_total
+from linetrees.combinatorics import (
+    closed_form_count,
+    closed_form_table,
+    fuss_catalan_total,
+    narayana,
+    profiles_with_total,
+)
 from linetrees.counting import ProfileCountTable, SampleRequest, SplitMix64
 from linetrees.errors import (
     ColorError,
@@ -18,7 +24,16 @@ from linetrees.errors import (
     LineTreesError,
     ParseError,
 )
+from linetrees.limits import check_cap
+from linetrees.series import (
+    MultiSeries,
+    solve_tree_equation,
+    verify_convolution,
+    verify_geometric,
+    verify_linear_recursion,
+)
 from linetrees.trees import encode, enumerate_by_lines
+from linetrees.verification import dyck_paths_by_peaks, verify_fuss_catalan_rows
 from reference_trees import MAX_DEPTH, decode, profile_counts
 
 
@@ -269,32 +284,88 @@ def test_sample_request_validation():
         SampleRequest(profile, 1, 2**64)
 
 
-@pytest.mark.parametrize(
-    "call,name",
-    [
-        (lambda: ProfileCountTable(2).unrank((1, 1), 1.5), "index"),
-        (lambda: ProfileCountTable(2).unrank((1, 1), True), "index"),
-        (lambda: SampleRequest((1, 1), 1.5, 0), "count"),
-        (lambda: SampleRequest((1, 1), True, 0), "count"),
-        (lambda: SampleRequest((1, 1), 1, 1.5), "seed"),
-        (lambda: SampleRequest((1, 1), 1, False), "seed"),
-        (lambda: SplitMix64(1.5), "seed"),
-        (lambda: SplitMix64(True), "seed"),
-    ],
-    ids=[
-        "unrank-index=1.5",
-        "unrank-index=True",
-        "request-count=1.5",
-        "request-count=True",
-        "request-seed=1.5",
-        "request-seed=False",
-        "splitmix64-seed=1.5",
-        "splitmix64-seed=True",
-    ],
-)
-def test_index_count_and_seed_must_be_ints(call, name):
-    with pytest.raises(DomainError, match=rf"^{name} must be an integer, got (1\.5|True|False)$"):
-        call()
+# Every integer argument the library checks: an id, a call that passes it the
+# value, its name in the messages, and the non-integers tried (1.5 and a bool).
+INT_ARGUMENTS = [
+    ("unrank-index", lambda x: ProfileCountTable(2).unrank((1, 1), x), "index", (1.5, True)),
+    ("request-count", lambda x: SampleRequest((1, 1), x, 0), "count", (1.5, True)),
+    ("request-seed", lambda x: SampleRequest((1, 1), 1, x), "seed", (1.5, False)),
+    ("splitmix64-seed", SplitMix64, "seed", (1.5, True)),
+    ("below-bound", lambda x: SplitMix64(0).below(x), "bound", (1.5, True)),
+    ("closed_form_count-n", lambda x: closed_form_count((1, 1), x), "level n", (1.5, True)),
+    ("fuss_catalan_total-p_vertices", lambda x: fuss_catalan_total(2, x), "p_vertices", (1.5, True)),
+    ("narayana-n", lambda x: narayana(x, 1), "n", (1.5, True)),
+    ("narayana-k", lambda x: narayana(3, x), "k", (1.5, True)),
+    ("profiles_with_total-d", lambda x: list(profiles_with_total(x, 2)), "d", (1.5, True)),
+    ("profiles_with_total-total", lambda x: list(profiles_with_total(2, x)), "total", (1.5, True)),
+    ("closed_form_table-max_total", lambda x: closed_form_table(2, 1, x), "max_total", (1.5, True)),
+    ("enumerate_by_lines-max_lines", lambda x: enumerate_by_lines(2, x), "max_lines", (1.5, True)),
+    ("verify_fuss_catalan_rows-p_max", lambda x: verify_fuss_catalan_rows(2, x), "p_max", (1.5, True)),
+    ("dyck_paths_by_peaks-n_max", dyck_paths_by_peaks, "n_max", (1.5, True)),
+    ("multiseries-d", lambda x: MultiSeries(x, 2), "d", (1.5, True)),
+    ("multiseries-order", lambda x: MultiSeries(2, x), "order", (1.5, True)),
+    ("solve_tree_equation-order", lambda x: solve_tree_equation(2, x), "order", (1.5, True)),
+    ("verify_linear_recursion-n_max", lambda x: verify_linear_recursion(2, x, 2), "n_max", (1.5, True)),
+    ("verify_geometric-n_max", lambda x: verify_geometric(2, x, 2), "n_max", (1.5, True)),
+    ("verify_convolution-n", lambda x: verify_convolution(2, x, 1, 2), "n", (1.5, True)),
+    ("verify_convolution-m", lambda x: verify_convolution(2, 1, x, 2), "m", (1.5, True)),
+    ("check_cap-level", lambda x: check_cap("level", x), "level", (1.5, True)),
+]
+
+# One integer below its bound per distinct message, and the seed's own range
+# message, which holds at both ends.
+OUT_OF_RANGE = [
+    ("closed_form_count-n", lambda x: closed_form_count((1, 1), x), 0, "level n must be >= 1, got 0"),
+    ("fuss_catalan_total-p_vertices", lambda x: fuss_catalan_total(2, x), 0,
+     "p_vertices must be >= 1, got 0"),
+    ("narayana-k", lambda x: narayana(3, x), 0, "k must be >= 1, got 0"),
+    ("multiseries-d", lambda x: MultiSeries(x, 2), 0, "d must be >= 1, got 0"),
+    ("closed_form_table-max_total", lambda x: closed_form_table(2, 1, x), -1,
+     "max_total must be >= 0, got -1"),
+    ("enumerate_by_lines-max_lines", lambda x: enumerate_by_lines(2, x), -1,
+     "max_lines must be >= 0, got -1"),
+    ("request-count", lambda x: SampleRequest((1, 1), x, 0), 0, "count must be >= 1, got 0"),
+    ("below-bound", lambda x: SplitMix64(0).below(x), 0, "bound must be >= 1, got 0"),
+    ("verify_fuss_catalan_rows-p_max", lambda x: verify_fuss_catalan_rows(2, x), 0,
+     "p_max must be >= 1, got 0"),
+    ("dyck_paths_by_peaks-n_max", dyck_paths_by_peaks, -1, "n_max must be >= 0, got -1"),
+    ("multiseries-order", lambda x: MultiSeries(2, x), -1, "order must be >= 0, got -1"),
+    ("verify_geometric-n_max", lambda x: verify_geometric(2, x, 2), 0, "n_max must be >= 1, got 0"),
+    ("verify_convolution-n", lambda x: verify_convolution(2, x, 1, 2), 0, "n must be >= 1, got 0"),
+    ("verify_convolution-m", lambda x: verify_convolution(2, 1, x, 2), 0, "m must be >= 1, got 0"),
+    ("check_cap-level", lambda x: check_cap("level", x), -1, "level must be >= 0, got -1"),
+    ("request-seed", lambda x: SampleRequest((1, 1), 1, x), -1,
+     "seed must be an unsigned 64-bit integer, got -1"),
+    ("splitmix64-seed", SplitMix64, 2**64,
+     "seed must be an unsigned 64-bit integer, got 18446744073709551616"),
+]
+
+
+def _bad_argument_cases():
+    for site, call, name, values in INT_ARGUMENTS:
+        for value in values:
+            yield pytest.param(
+                call, value, f"{name} must be an integer, got {value!r}", id=f"{site}={value!r}"
+            )
+    for site, call, value, message in OUT_OF_RANGE:
+        yield pytest.param(call, value, message, id=f"{site}={value!r}")
+    for value in (None, 5, b"()"):
+        yield pytest.param(
+            lambda x: ProfileCountTable(2).rank((1, 1), x),
+            value,
+            f"text must be a str, got {value!r}",
+            id=f"rank-text={value!r}",
+        )
+
+
+@pytest.mark.parametrize("call,value,message", list(_bad_argument_cases()))
+def test_index_count_and_seed_must_be_ints(call, value, message):
+    """Every integer argument of the library refuses a float, a bool and a
+    value below its bound with a one-line DomainError that names it, and
+    ``rank`` refuses a text that is not a str."""
+    with pytest.raises(DomainError) as caught:
+        call(value)
+    assert str(caught.value) == message
 
 
 def test_sample_singleton_support():
