@@ -15,7 +15,8 @@ residual contract, judged at 1/r on the reversed polynomial where the bound
 at r overflows, with Newton steps on Q for a root that misses it;
 exact zeros in the leading coefficients are deflated before root finding,
 and near-coincident roots are merged into one root with multiplicity
-within a documented clustering radius.  The two records, ``CharPolynomial``
+within a documented clustering radius, after which the roots must rebuild
+Q coefficient by coefficient.  The two records, ``CharPolynomial``
 and ``RootReport``, are immutable NamedTuples.
 
 numpy is imported on the first root-finding call, not with this module:
@@ -38,6 +39,12 @@ CLUSTER_RADIUS = 1e-7
 # Newton steps on Q that ``roots_all`` may spend on a root failing its
 # backward-error bound.
 POLISH_STEPS = 3
+
+# Allowance, relative to |c_d| prod (X + |r|), within which the reported
+# roots must rebuild each coefficient of Q.  Roots that each meet the default
+# 1e-10 backward-error bound can miss by about 1e-9 together; a root that
+# stands in for another misses by far more.
+REBUILD_TOL = 1e-8
 
 
 class CharPolynomial(NamedTuple):
@@ -144,8 +151,9 @@ def roots_all(
     reversed coefficients at 1/r, and a root that fails it there takes no
     Newton step.  A root that still fails it raises RootFindingFailure,
     which carries ``residual_max``.  A root or a residual that overflows
-    floating point also raises RootFindingFailure.  ``residual_tol`` must be
-    finite and >= 0.
+    floating point also raises RootFindingFailure, and so do roots that,
+    with their multiplicities, do not rebuild Q (``_check_rebuild``).
+    ``residual_tol`` must be finite and >= 0.
     """
     if not 0 <= residual_tol < math.inf:
         raise DomainError(f"residual_tol must be finite and >= 0, got {residual_tol}")
@@ -192,7 +200,31 @@ def roots_all(
     residual_max = max(residuals)
     if failures:
         raise RootFindingFailure(failures[0], best_residual=residual_max)
-    return tuple(_cluster(polished)), residual_max
+    roots = _cluster(polished)
+    _check_rebuild(coeffs, roots, residual_max)
+    return tuple(roots), residual_max
+
+
+def _check_rebuild(
+    coeffs: Sequence[complex], roots: Sequence[tuple[complex, int]], residual_max: float
+) -> None:
+    """Raise RootFindingFailure unless c_d prod (X - r)^mult rebuilds each
+    coefficient of Q within REBUILD_TOL times the same coefficient of
+    |c_d| prod (X + |r|)^mult.  Each root's own bound cannot see a root that
+    is missing: ``np.roots`` may return a second copy of one root in place of
+    another, and both copies meet the bound."""
+    rebuilt, bounds = [coeffs[-1]], [abs(coeffs[-1])]
+    for r, mult in roots:
+        for _ in range(mult):
+            rebuilt = [a - r * b for a, b in zip([0j, *rebuilt], [*rebuilt, 0j])]
+            bounds = [a + abs(r) * b for a, b in zip([0.0, *bounds], [*bounds, 0.0])]
+    for k, (got, want, bound) in enumerate(zip(rebuilt, coeffs, bounds)):
+        if not abs(got - want) <= REBUILD_TOL * bound:
+            raise RootFindingFailure(
+                f"the roots with their multiplicities do not rebuild coefficient {k} "
+                f"of Q within a relative {REBUILD_TOL:.0e}",
+                best_residual=residual_max,
+            )
 
 
 def rouche_isolation_check(

@@ -199,6 +199,7 @@ def closed_form_series(d: int, n: int, order: int) -> MultiSeries:
     """Level-n series assembled directly from the closed-form counts."""
     from .combinatorics import closed_form_table
 
+    check_int("order", order)
     return MultiSeries(d, order, closed_form_table(d, n, order))
 
 
@@ -222,6 +223,7 @@ def verify_linear_recursion(d: int, n_max: int, order: int) -> VerificationRepor
 
     check_colors(d)
     check_int("n_max", n_max)
+    check_int("order", order)
     levels = [{(0,) * d: 1}]
     levels += [closed_form_table(d, m, order) for m in range(1, n_max + d + 1)]
     # rhs[n] lists the right side at each profile, in the order of the keys.

@@ -726,6 +726,29 @@ def test_roots_at_admissible_points_with_a_tiny_coordinate(capsys, d, scale):
         _roots_meet_their_bounds(g, doc)
 
 
+def test_roots_at_admissible_points_with_coordinates_of_many_scales(capsys):
+    """Admissible points whose coordinates are each scaled down by its own
+    10^-k either exit 4 or report one root inside R.  Here the companion
+    matrix can return one root twice in place of a root near 1/|g_i|, and
+    each copy meets its own bound."""
+    rng = random.Random("many-scales")
+    for _ in range(200):
+        d, radius = rng.randint(2, 8), rng.choice([1.5, 2.0, 3.0, 5.0])
+        epsilon = (radius ** (1.0 / d) - 1.0) / radius
+        g = [
+            rng.uniform(-0.999, 0.999) * epsilon * 10.0 ** -rng.choice([0, 3, 10, 30, 100, 250])
+            for _ in range(d)
+        ]
+        argv = ["roots", "--d", str(d), "--g=" + ",".join(map(repr, g)), "--radius", repr(radius)]
+        code, out, err = run(capsys, *argv)
+        if code == 4:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+            continue
+        assert (code, err) == (0, ""), argv
+        doc = json.loads(out)
+        assert doc["admissible"] is True and doc["inside_count"] == 1, argv
+
+
 def test_roots_bad_point_exits_2(capsys):
     assert run(capsys, "roots", "--d", "2", "--g", "0.1")[0] == 2
     assert run(capsys, "roots", "--d", "2", "--g", "0.1,oops")[0] == 2

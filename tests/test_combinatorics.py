@@ -40,6 +40,11 @@ def test_closed_form_known_values():
     assert closed_form_count((1, 1, 1), 1) == 16
 
 
+def test_closed_form_level_defaults_to_one():
+    # The level-2 count at (1, 1) is 8.
+    assert closed_form_count((1, 1)) == 3
+
+
 def test_closed_form_level_two_matches_convolution():
     # Level 2 at (1,0) must equal the self-convolution of level 1.
     target = (1, 0)

@@ -27,6 +27,7 @@ from linetrees.errors import (
 from linetrees.limits import check_cap
 from linetrees.series import (
     MultiSeries,
+    closed_form_series,
     solve_tree_equation,
     verify_convolution,
     verify_geometric,
@@ -309,6 +310,10 @@ INT_ARGUMENTS = [
     ("verify_geometric-n_max", lambda x: verify_geometric(2, x, 2), "n_max", (1.5, True)),
     ("verify_convolution-n", lambda x: verify_convolution(2, x, 1, 2), "n", (1.5, True)),
     ("verify_convolution-m", lambda x: verify_convolution(2, 1, x, 2), "m", (1.5, True)),
+    ("closed_form_series-order", lambda x: closed_form_series(2, 1, x), "order", (1.5, True)),
+    ("verify_linear_recursion-order", lambda x: verify_linear_recursion(2, 1, x), "order",
+     (1.5, True)),
+    ("verify_convolution-order", lambda x: verify_convolution(2, 1, 1, x), "order", (1.5, True)),
     ("check_cap-level", lambda x: check_cap("level", x), "level", (1.5, True)),
 ]
 
