@@ -36,7 +36,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .errors import DomainError, LineTreesError
-from .limits import DEFAULT_RESIDUAL_TOL, check_cap, check_colors, check_int, check_profile
+from .limits import check_cap, check_colors, check_int, check_profile
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -223,7 +223,7 @@ def _run_roots(args) -> int:
     d = args.d
     point = _parse_point(args.g)
     q = build_char_polynomial(d, point)
-    report = rouche_isolation_check(q, args.radius, args.residual_tol)
+    report = rouche_isolation_check(q, args.radius)
     principal = report.principal_root
     doc = {
         "d": d,
@@ -324,12 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command(sub, "roots", help="characteristic-polynomial root report")
     p.add_argument("--g", required=True, help="comma-separated real point, one value per color")
     p.add_argument("--radius", type=float, default=2.0, help="isolation radius R > 1")
-    p.add_argument(
-        "--residual-tol",
-        type=float,
-        default=DEFAULT_RESIDUAL_TOL,
-        help="relative residual tolerance for accepted roots",
-    )
     p.set_defaults(handler=_run_roots)
 
     p = command(sub, "sample", help="uniform random trees with a fixed profile")

@@ -42,12 +42,8 @@ class IndexOutOfRange(LineTreesError):
 
 
 class RootFindingFailure(LineTreesError):
-    """Root residuals could not be brought under the requested tolerance."""
+    """The roots of Q missed the fixed bounds of ``roots``, or overflowed."""
     exit_code = 4
-
-    def __init__(self, message: str, best_residual: float):
-        super().__init__(message)
-        self.best_residual = best_residual
 
 
 class DegenerateError(LineTreesError):

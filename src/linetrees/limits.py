@@ -11,7 +11,8 @@ int-to-str conversion; ``cli`` applies them to its input before any work.
 The README's "Budgets and caps" table lists these values with the worst
 measured time at each.  Caps keyed by the number of colors d hold one entry
 per d in 2..MAX_COLORS.  ``check_int`` is the one check of an integer
-argument, in the library and the command line alike.
+argument, in the library and the command line alike.  The numeric bounds
+of root finding are not size limits; they are constants of ``roots``.
 """
 
 from __future__ import annotations
@@ -42,11 +43,6 @@ CAPS: dict[str, int | dict[int, int]] = {
     # sample --count.
     "sample count": 2000,
 }
-
-# Default of roots --residual-tol and of the root finders of ``roots``: the
-# bound on |Q(r)| relative to sum_k |c_k| |r|^k at each root r.  It lives
-# here so that building the command line's parser does not import ``roots``.
-DEFAULT_RESIDUAL_TOL = 1e-10
 
 
 def check_int(name: str, value, low: int | None = 0) -> int:

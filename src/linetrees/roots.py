@@ -10,13 +10,15 @@ polynomial has exactly one root of norm below R (a Rouché-type isolation),
 and that root is F(g): the unique branch tending to 1 as g -> 0.
 
 This module is deliberately the only floating-point one in the package:
-roots come from the companion matrix (numpy.roots) under an explicit
-residual contract, judged at 1/r on the reversed polynomial where the bound
-at r overflows, with Newton steps on Q for a root that misses it;
-exact zeros in the leading coefficients are deflated before root finding,
-and near-coincident roots are merged into one root with multiplicity
-within a documented clustering radius, after which the roots must rebuild
-Q coefficient by coefficient.  The two records, ``CharPolynomial``
+roots come from the companion matrix (numpy.roots) under a fixed residual
+contract, judged at 1/r on the reversed polynomial where the bound at r
+overflows, with Newton steps on Q for a root that misses it; exact zeros
+in the leading coefficients are deflated before root finding, and
+near-coincident roots are merged into one root with multiplicity within a
+documented clustering radius, after which the roots must rebuild Q
+coefficient by coefficient.  The contract's four numeric constants,
+RESIDUAL_TOL, POLISH_STEPS, CLUSTER_RADIUS and REBUILD_TOL, live here and
+nowhere else; no option changes them.  The two records, ``CharPolynomial``
 and ``RootReport``, are immutable NamedTuples.
 
 numpy is imported on the first root-finding call, not with this module:
@@ -31,7 +33,12 @@ import math
 from typing import NamedTuple, Sequence
 
 from .errors import DegenerateError, DomainError, RootFindingFailure
-from .limits import DEFAULT_RESIDUAL_TOL, check_colors
+from .limits import check_colors
+
+# The backward-error bound each reported root r must meet: |Q(r)| at most
+# this times sum_k |c_k| |r|^k.  ``roots_all`` reads it at each call, so a
+# test can patch it.
+RESIDUAL_TOL = 1e-10
 
 # Roots closer than this are reported as one root with multiplicity.
 CLUSTER_RADIUS = 1e-7
@@ -41,9 +48,9 @@ CLUSTER_RADIUS = 1e-7
 POLISH_STEPS = 3
 
 # Allowance, relative to |c_d| prod (X + |r|), within which the reported
-# roots must rebuild each coefficient of Q.  Roots that each meet the default
-# 1e-10 backward-error bound can miss by about 1e-9 together; a root that
-# stands in for another misses by far more.
+# roots must rebuild each coefficient of Q.  Roots that each meet
+# RESIDUAL_TOL can miss by about 1e-9 together; a root that stands in for
+# another misses by far more.
 REBUILD_TOL = 1e-8
 
 
@@ -132,16 +139,14 @@ def _cluster(roots: Sequence[complex]) -> list[tuple[complex, int]]:
     ]
 
 
-def roots_all(
-    q: CharPolynomial, residual_tol: float = DEFAULT_RESIDUAL_TOL
-) -> tuple[tuple[tuple[complex, int], ...], float]:
+def roots_all(q: CharPolynomial) -> tuple[tuple[tuple[complex, int], ...], float]:
     """``(roots, residual_max)``: the roots of the deflated polynomial with
     their multiplicities, via the companion matrix, and the largest |Q(r)|.
 
     Every reported root r must have a small backward error,
-    |Q(r)| <= residual_tol * sum_k |c_k| |r|^k: r is then an exact root of
+    |Q(r)| <= RESIDUAL_TOL * sum_k |c_k| |r|^k: r is then an exact root of
     a polynomial whose coefficients differ from Q's by a relative
-    ``residual_tol`` at most.  The bound grows with |r|, so the large roots
+    RESIDUAL_TOL at most.  The bound grows with |r|, so the large roots
     that appear when some |g_i| is near 0 are judged on the same footing
     as the small ones.  A root takes Newton steps on Q while it fails the
     bound, at most POLISH_STEPS of them (Press et al., Numerical Recipes,
@@ -149,14 +154,11 @@ def roots_all(
     a leading coefficient is tiny, and Newton's method restores it.  Where
     the scale overflows, the bound is checked divided by |r|^d, on Q's
     reversed coefficients at 1/r, and a root that fails it there takes no
-    Newton step.  A root that still fails it raises RootFindingFailure,
-    which carries ``residual_max``.  A root or a residual that overflows
-    floating point also raises RootFindingFailure, and so do roots that,
-    with their multiplicities, do not rebuild Q (``_check_rebuild``).
-    ``residual_tol`` must be finite and >= 0.
+    Newton step.  The first root that still fails it raises
+    RootFindingFailure.  A root or a residual that overflows floating point
+    also raises RootFindingFailure, and so do roots that, with their
+    multiplicities, do not rebuild Q (``_check_rebuild``).
     """
-    if not 0 <= residual_tol < math.inf:
-        raise DomainError(f"residual_tol must be finite and >= 0, got {residual_tol}")
     coeffs = q.coefficients[: q.effective_degree + 1]
     if len(coeffs) < 2:
         raise DegenerateError(
@@ -170,15 +172,11 @@ def roots_all(
         with np.errstate(over="raise", invalid="raise"):
             raw = np.roots(np.array(coeffs[::-1], dtype=np.complex128))
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
-        raise RootFindingFailure(
-            f"the roots overflow floating point ({exc})", best_residual=math.inf
-        )
+        raise RootFindingFailure(f"the roots overflow floating point ({exc})")
     found = [complex(r) for r in raw]
     if not all(math.isfinite(abs(_horner(coeffs, r)[0])) for r in found):
-        raise RootFindingFailure(
-            "the residual |Q(r)| at a root overflows floating point", best_residual=math.inf
-        )
-    polished, residuals, failures = [], [], []
+        raise RootFindingFailure("the residual |Q(r)| at a root overflows floating point")
+    polished, residuals = [], []
     for r in found:
         for steps_left in range(POLISH_STEPS, -1, -1):
             value, slope, scale = _horner(coeffs, r)
@@ -187,27 +185,21 @@ def roots_all(
                 # The bound divided by |r|^d: Q's reversed coefficients at 1/r.
                 reversed_value, _, scale = _horner(coeffs[::-1], 1 / r)
                 residual, steps_left = abs(reversed_value), 0
-            if residual <= residual_tol * scale:
+            if residual <= RESIDUAL_TOL * scale:
                 break
             if not steps_left or slope == 0 or not cmath.isfinite(value / slope):
-                failures.append(
-                    f"root residual {residual:.3e} exceeds {residual_tol:.1e} * {scale:.3e}"
+                raise RootFindingFailure(
+                    f"root residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} * {scale:.3e}"
                 )
-                break
             r -= value / slope
         polished.append(r)
         residuals.append(abs(value))
-    residual_max = max(residuals)
-    if failures:
-        raise RootFindingFailure(failures[0], best_residual=residual_max)
     roots = _cluster(polished)
-    _check_rebuild(coeffs, roots, residual_max)
-    return tuple(roots), residual_max
+    _check_rebuild(coeffs, roots)
+    return tuple(roots), max(residuals)
 
 
-def _check_rebuild(
-    coeffs: Sequence[complex], roots: Sequence[tuple[complex, int]], residual_max: float
-) -> None:
+def _check_rebuild(coeffs: Sequence[complex], roots: Sequence[tuple[complex, int]]) -> None:
     """Raise RootFindingFailure unless c_d prod (X - r)^mult rebuilds each
     coefficient of Q within REBUILD_TOL times the same coefficient of
     |c_d| prod (X + |r|)^mult.  Each root's own bound cannot see a root that
@@ -222,14 +214,11 @@ def _check_rebuild(
         if not abs(got - want) <= REBUILD_TOL * bound:
             raise RootFindingFailure(
                 f"the roots with their multiplicities do not rebuild coefficient {k} "
-                f"of Q within a relative {REBUILD_TOL:.0e}",
-                best_residual=residual_max,
+                f"of Q within a relative {REBUILD_TOL:.0e}"
             )
 
 
-def rouche_isolation_check(
-    q: CharPolynomial, radius: float, residual_tol: float = DEFAULT_RESIDUAL_TOL
-) -> RootReport:
+def rouche_isolation_check(q: CharPolynomial, radius: float) -> RootReport:
     """Count roots inside |X| < radius and test the isolation hypothesis.
 
     Computes epsilon_R = (radius^(1/d) - 1) / radius and flags the point
@@ -241,7 +230,7 @@ def rouche_isolation_check(
         raise DomainError(f"radius must be finite and exceed 1, got {radius}")
     epsilon = (radius ** (1.0 / q.d) - 1.0) / radius
     admissible = max(abs(g) for g in q.point) < epsilon
-    roots, residual_max = roots_all(q, residual_tol)
+    roots, residual_max = roots_all(q)
     inside = [(r, mult) for r, mult in roots if abs(r) < radius]
     inside_count = sum(mult for _, mult in inside)
     return RootReport(

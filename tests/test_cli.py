@@ -1,6 +1,5 @@
 """Tests for the command-line surface: schemas, formats, exit codes."""
 
-import argparse
 import csv
 import hashlib
 import io
@@ -18,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linetrees import combinatorics, series, trees, verification
-from linetrees.cli import VERIFY_KINDS, _build_parser, main
+from linetrees import combinatorics, roots, series, trees, verification
+from linetrees.cli import VERIFY_KINDS, main
 from linetrees.counting import ProfileCountTable, SampleRequest
 from linetrees.errors import RootFindingFailure
 from linetrees.limits import CAPS, MAX_COLORS
@@ -563,18 +562,20 @@ def test_roots_rows_match_json(capsys, fmt):
         ]
 
 
-def test_roots_bound_is_checked_at_1_over_r_where_it_overflows(capsys):
+def test_roots_bound_is_checked_at_1_over_r_where_it_overflows(capsys, monkeypatch):
     """Q has a root near -1.2e216, where sum_k |c_k| |r|^k overflows.  The
     root is judged on Q's reversed coefficients at 1/r, where that bound is
-    finite, and residual_max stays the forward |Q(r)|."""
+    finite, and residual_max stays the forward |Q(r)|; under a zero bound
+    the failure message shows that finite scale."""
     g = "8.013368438209091e-217,-0.15337351170497798,-0.09544280292481254"
     code, out, _ = run(capsys, "roots", "--d", "3", f"--g={g}")
     doc = json.loads(out)
     assert code == 0 and doc["inside_count"] == 1
     assert doc["residual_max"] > 1e200
     q = build_char_polynomial(3, [float(x) for x in g.split(",")])
+    monkeypatch.setattr(roots, "RESIDUAL_TOL", 0.0)
     with pytest.raises(RootFindingFailure) as exc:
-        roots_all(q, 0)
+        roots_all(q)
     assert "inf" not in str(exc.value)
 
 
@@ -585,16 +586,19 @@ def test_roots_inadmissible_point(capsys):
     assert doc["admissible"] is False
 
 
-def test_roots_zero_residual_tol_exits_4(capsys):
-    code, _, err = run(capsys, "roots", "--d", "2", "--g", "0.1,0.1", "--residual-tol", "0")
+def test_roots_zero_residual_tol_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(roots, "RESIDUAL_TOL", 0.0)
+    code, _, err = run(capsys, "roots", "--d", "2", "--g", "0.1,0.1")
     assert code == 4
     assert "residual" in err
 
 
-def test_roots_zero_residual_tol_accepts_an_exact_root(capsys):
+def test_roots_zero_residual_tol_accepts_an_exact_root(capsys, monkeypatch):
     # At g = 0, Q deflates to 1 - x, whose root 1 has residual exactly 0:
-    # the bound |Q(r)| <= residual_tol * scale holds with equality.
-    code, out, _ = run(capsys, "roots", "--d", "2", "--g=0,0", "--residual-tol", "0")
+    # with RESIDUAL_TOL at 0 the bound |Q(r)| <= RESIDUAL_TOL * scale holds
+    # with equality.
+    monkeypatch.setattr(roots, "RESIDUAL_TOL", 0.0)
+    code, out, _ = run(capsys, "roots", "--d", "2", "--g=0,0")
     assert code == 0
     assert json.loads(out)["residual_max"] == 0.0
 
@@ -605,8 +609,8 @@ def test_roots_judged_at_1_over_r_take_no_newton_step(capsys, monkeypatch):
     made to return it 1e-9 off, relative: that fails the bound at 1/r, and
     roots exits 4, although one Newton step on Q would bring the root back.
     An unperturbed root misses that bound only in its last bits (as at
-    0.05,0.06,7e-159 with --residual-tol 1e-17), which depend on the LAPACK
-    build, so the root is perturbed instead."""
+    0.05,0.06,7e-159 with ``roots.RESIDUAL_TOL`` patched to 1e-17), which
+    depend on the LAPACK build, so the root is perturbed instead."""
     import numpy as np
 
     exact = np.roots
@@ -626,14 +630,17 @@ def test_roots_judged_at_1_over_r_take_no_newton_step(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv,pattern",
     [
-        (["--d", "2", "--g", "0.1,0.1", "--residual-tol", "0"],
-         r"error: root residual \S+ exceeds 0\.0e\+00 \* \S+"),
+        (["--d", "2", "--g", "0.1,0.1"], r"error: root residual \S+ exceeds 0\.0e\+00 \* \S+"),
         (["--d", "2", "--g=1e-200,1e-120"], r"error: the roots overflow floating point \(.+\)"),
         (["--d", "8", "--g=0.05,0.05,0.05,0.05,0.05,0.05,0.05,1e-250"],
          r"error: the residual \|Q\(r\)\| at a root overflows floating point"),
     ],
 )
-def test_roots_numeric_failure_message(capsys, argv, pattern):
+def test_roots_numeric_failure_message(capsys, monkeypatch, argv, pattern):
+    """Each numeric failure ends in its one ``error:`` line.  The bound is 0,
+    which no root of the first point meets; the overflows of the other two
+    are found before any root is judged against it."""
+    monkeypatch.setattr(roots, "RESIDUAL_TOL", 0.0)
     code, out, err = run(capsys, "roots", *argv)
     assert (code, out) == (4, "")
     assert re.fullmatch(pattern + "\n", err), err
@@ -677,20 +684,35 @@ def test_roots_near_underflow_coordinate_ends_without_traceback(capsys, g, code)
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _horner(coeffs, x):
+    """sum_k c_k x^k and sum_k |c_k| |x|^k, by Horner's rule, so that no
+    x**k overflows alone."""
+    value, scale = 0j, 0.0
+    for c in reversed(coeffs):
+        value, scale = value * x + c, scale * abs(x) + abs(c)
+    return value, scale
+
+
 def _roots_meet_their_bounds(g: list[float], doc: dict) -> None:
     """Each reported root r meets |Q(r)| <= 1e-10 * sum_k |c_k| |r|^k, and
     the roots, with their multiplicities, rebuild each coefficient of Q
     within 1e-8 of the same coefficient of |c_d| prod (X + |r|).  A root
     that stood in for another would miss by far more; roots that each meet
-    the 1e-10 bound can still miss by about 1e-9 together."""
-    q = build_char_polynomial(len(g), g).coefficients
-    roots = [complex(r["re"], r["im"]) for r in doc["roots"] for _ in range(r["mult"])]
-    for root in roots:
-        assert abs(sum(c * root**k for k, c in enumerate(q))) <= 1e-10 * sum(
-            abs(c) * abs(root) ** k for k, c in enumerate(q)
-        )
+    the 1e-10 bound can still miss by about 1e-9 together.  Where the scale
+    overflows, the first bound is judged divided by |r|^d, on Q's reversed
+    coefficients at 1/r.  Q is taken without its exactly-zero leading
+    coefficients, as the root finder deflates them."""
+    q = list(build_char_polynomial(len(g), g).coefficients)
+    while q[-1] == 0:
+        q.pop()
+    found = [complex(r["re"], r["im"]) for r in doc["roots"] for _ in range(r["mult"])]
+    for root in found:
+        value, scale = _horner(q, root)
+        if scale == float("inf"):
+            value, scale = _horner(q[::-1], 1 / root)
+        assert abs(value) <= 1e-10 * scale, root
     rebuilt, bounds = [q[-1]], [abs(q[-1])]
-    for r in roots:
+    for r in found:
         rebuilt = [a - r * b for a, b in zip([0j] + rebuilt, rebuilt + [0j])]
         bounds = [a + abs(r) * b for a, b in zip([0.0] + bounds, bounds + [0.0])]
     assert len(rebuilt) == len(q)
@@ -747,6 +769,19 @@ def test_roots_at_admissible_points_with_coordinates_of_many_scales(capsys):
         assert (code, err) == (0, ""), argv
         doc = json.loads(out)
         assert doc["admissible"] is True and doc["inside_count"] == 1, argv
+        _roots_meet_their_bounds(g, doc)
+
+
+def test_roots_residual_tol_is_not_a_flag(capsys):
+    """The backward-error bound is fixed, so ``--residual-tol`` is an
+    unknown flag: argparse's one ``error:`` line, after its usage."""
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--d", "2", "--g", "0.1,0.1", "--residual-tol", "0"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "linetrees: error: unrecognized arguments: --residual-tol 0"
+    ] == err.splitlines()[-1:]
 
 
 def test_roots_bad_point_exits_2(capsys):
@@ -961,38 +996,6 @@ def test_subcommands_accept_only_the_flags_they_read(capsys, command, flag):
         assert exc.value.code == 2
 
 
-def _options(parser):
-    """Option strings of a parser, without --help, --d and --format."""
-    skip = {"-h", "--help", "--d", "--format"}
-    return [opt for action in parser._actions for opt in action.option_strings if opt not in skip]
-
-
-def _subcommands(parser):
-    """Name -> parser of each subcommand, with verify split into its kinds."""
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    out = {}
-    for name, sub in action.choices.items():
-        if name == "verify":
-            out.update((f"verify {kind}", p) for kind, p in _subcommands(sub).items())
-        else:
-            out[name] = sub
-    return out
-
-
-def test_readme_flags_table_matches_the_parser():
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    header = "| subcommand | flags besides `--d` and `--format` |"
-    rows = readme.split(header, 1)[1].split("\n\n", 1)[0].strip().splitlines()[1:]
-    table = {}
-    for row in rows:
-        name, flags = (cell.strip() for cell in row.strip("|").split("|"))
-        table[name.strip("`")] = [flag.strip().strip("`") for flag in flags.split(",")]
-    parsers = _subcommands(_build_parser())
-    assert sorted(table) == sorted(parsers)
-    for name, sub in parsers.items():
-        assert table[name] == _options(sub), name
-
-
 BIG = "1" + "0" * 2200
 
 
@@ -1036,10 +1039,10 @@ BIG = "1" + "0" * 2200
         (("verify", "oracle", "--d", "2", "--order", "-1"), 2),
         (("series", "--d", "2", "--order", "-1"), 2),
         (("verify", "recursion", "--d", "2", "--order", "-1"), 2),
-        # invalid residual tolerances and points whose polynomial overflows
-        (("roots", "--d", "2", "--g", "0.1,0.1", "--residual-tol", "nan"), 2),
-        (("roots", "--d", "2", "--g", "0.1,0.1", "--residual-tol", "inf"), 2),
-        (("roots", "--d", "2", "--g", "0.1,0.1", "--residual-tol=-1"), 2),
+        # radii that are not above 1 and a point whose polynomial overflows
+        (("roots", "--d", "2", "--g", "0.1,0.1", "--radius", "1"), 2),
+        (("roots", "--d", "2", "--g", "0.1,0.1", "--radius", "0.5"), 2),
+        (("roots", "--d", "2", "--g", "0.1,0.1", "--radius=-2"), 2),
         (("roots", "--d", "2", "--g", "1e300,1e300"), 2),
         # caps that bind the CLI only (the library is uncapped): at the cap
         # and one above
@@ -1098,7 +1101,7 @@ FLAGS = {
     "count": ["--profile", "--n"],
     "enumerate": ["--max-lines"],
     "series": ["--order", "--n"],
-    "roots": ["--g", "--radius", "--residual-tol"],
+    "roots": ["--g", "--radius"],
     "sample": ["--profile", "--count", "--seed"],
     **{f"verify {kind}": list(flags) for kind, (flags, _) in VERIFY_KINDS.items()},
 }

@@ -1,9 +1,10 @@
 """Tests that keep README.md in step with the code it documents."""
 
+import argparse
 import re
 from pathlib import Path
 
-from linetrees.cli import VERIFY_KINDS
+from linetrees.cli import VERIFY_KINDS, _build_parser
 from linetrees.limits import CAPS, MAX_COLORS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -50,6 +51,32 @@ def test_readme_caps_table_matches_caps():
             assert cap == format_cap(CAPS[key]), key
             seen.add(key)
     assert seen == set(CAPS)
+
+
+def parser_flags(parser, prefix=""):
+    """Subcommand (``verify`` split into its kinds) -> the option strings
+    its parser accepts besides --d, --format and --help, in parser order."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {}
+    for name, sub in action.choices.items():
+        if name == "verify":
+            flags.update(parser_flags(sub, "verify "))
+        else:
+            flags[prefix + name] = [
+                opt for a in sub._actions for opt in a.option_strings
+                if opt not in {"-h", "--help", "--d", "--format"}
+            ]
+    return flags
+
+
+def test_readme_flags_table_matches_the_parser():
+    """The CLI table lists, per subcommand and per verify kind, exactly the
+    flags the parser accepts, so a deleted flag cannot linger in it."""
+    table = {
+        command.strip("`"): re.findall(r"`(--[^`]+)`", flags)
+        for command, flags in table_rows("## CLI")
+    }
+    assert table == parser_flags(_build_parser())
 
 
 def test_readme_verify_table_lists_every_kind():

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from linetrees import roots as roots_module
 from linetrees.errors import DegenerateError, DomainError, RootFindingFailure
 from linetrees.roots import (
     CLUSTER_RADIUS,
@@ -100,17 +101,17 @@ def test_roots_d2_match_quadratic_oracle():
 
 def test_roots_residual_contract():
     q = build_char_polynomial(3, (0.01, 0.05, 0.1))
-    roots, residual_max = roots_all(q, residual_tol=1e-10)
+    roots, residual_max = roots_all(q)
     scale = max(abs(c) for c in q.coefficients)
     assert residual_max <= 1e-10 * scale
     for root, _ in roots:
         assert abs(q(root)) <= 1e-10 * scale
 
 
-def test_roots_failure_reports_best_residual():
-    with pytest.raises(RootFindingFailure) as exc:
-        roots_all(build_char_polynomial(2, (0.1, 0.1)), residual_tol=0.0)
-    assert exc.value.best_residual > 0
+def test_roots_failure_reports_best_residual(monkeypatch):
+    monkeypatch.setattr(roots_module, "RESIDUAL_TOL", 0.0)
+    with pytest.raises(RootFindingFailure, match=r"^root residual \S+ exceeds 0\.0e\+00 \* "):
+        roots_all(build_char_polynomial(2, (0.1, 0.1)))
 
 
 def test_roots_degenerate_constant():
