@@ -7,6 +7,13 @@ Exit codes: 0 success, 1 verification found failures, 2 malformed input,
 exits with the error class's ``exit_code``.  Counts are always emitted as
 decimal strings; they outgrow 64-bit integers quickly.
 
+A command-line run (``python -m linetrees.cli`` or the ``linetrees``
+script, both through ``run``) ends with ``os._exit`` once ``main`` has
+flushed stdout and stderr: objects are not freed and no ``atexit`` handler
+runs (the package registers none), which saves the interpreter's teardown.
+Exit codes and output are the same, and ``main`` called in process returns
+as before.
+
 This is the one place the caps of ``limits.CAPS`` are applied: ``main``
 checks the number of colors and each handler the rest of its arguments,
 before any work or output, and the library it calls is uncapped.
@@ -387,5 +394,16 @@ def _to_devnull(stream) -> None:
     os.close(devnull)
 
 
+def run() -> None:
+    """The command-line entry: run ``main`` and end the process with its exit
+    code, or with the code of argparse's ``SystemExit``, through ``os._exit``
+    (the module docstring says why nothing is lost)."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

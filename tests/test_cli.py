@@ -953,6 +953,88 @@ def test_closed_file_descriptor_2_keeps_the_exit_code(argv, code, out, redirect)
         )
         assert (unbuffered, proc.returncode, proc.stdout) == (unbuffered, code, out)
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--d", "3", "--max-lines", "7"],
+        ["--version"],
+        ["sample", "--help"],
+        ["count", "--d", "2", "--profile", "1,1", "--bogus"],
+        ["sample", "--d", "3", "--profile", "8,8,8", "--count", "1"],
+    ],
+    ids=["enumerate", "version", "help", "usage-error", "over-cap"],
+)
+@pytest.mark.parametrize("target", ["file", "pipe"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_exit_through_os_exit_loses_no_output(capsys, monkeypatch, tmp_path, argv, target,
+                                              unbuffered):
+    """A fresh ``python -m linetrees.cli`` ends with ``os._exit``, which
+    flushes nothing: its stdout, stderr and exit code equal those of ``main``
+    called in process, with stdout a regular file (block-buffered) or a
+    pipe, and with stdout and stderr buffered or not."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to this width
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    want = capsys.readouterr()
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "linetrees.cli", *argv]
+    if target == "pipe":
+        proc = subprocess.run(command, env=env, capture_output=True, timeout=120)
+        out = proc.stdout
+    else:
+        with open(tmp_path / "out", "wb") as stdout:
+            proc = subprocess.run(command, env=env, stdout=stdout, stderr=subprocess.PIPE,
+                                  timeout=120)
+        out = (tmp_path / "out").read_bytes()
+    assert (proc.returncode, proc.stderr.decode()) == (code, want.err)
+    assert hashlib.sha256(out).hexdigest() == hashlib.sha256(want.out.encode()).hexdigest()
+    if argv[0] == "enumerate":
+        assert out.count(b"\n") == 52_787
+    elif code == 2:
+        assert want.err.endswith("linetrees: error: unrecognized arguments: --bogus\n")
+    elif code == 3:
+        assert want.err.startswith("error: ") and want.err.count("\n") == 1
+
+
+# Records the number of atexit handlers, imports every linetrees module, runs
+# each subcommand once through ``main`` and prints the number again.
+_ATEXIT_PROBE = """
+import atexit, importlib, io, json, pkgutil, sys
+from contextlib import redirect_stdout
+before = atexit._ncallbacks()
+import linetrees
+from linetrees import cli
+for module in pkgutil.iter_modules(linetrees.__path__):
+    importlib.import_module(f"linetrees.{module.name}")
+codes = []
+with redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(cli.main(argv))
+print(json.dumps([codes, before, atexit._ncallbacks()]))
+"""
+
+
+def test_package_registers_no_atexit_handler():
+    """``run`` ends the process with ``os._exit``, which runs no ``atexit``
+    handler, so neither the package nor what its commands load (numpy
+    included) may register one."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argvs = [list(argv) for argv in BASE_ARGV.values()]
+    result = subprocess.run(
+        [sys.executable, "-c", _ATEXIT_PROBE, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    codes, before, after = json.loads(result.stdout)
+    assert codes == [0] * len(argvs)
+    assert after == before
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -1222,10 +1304,13 @@ test_stdout_matches_recorded_digest = _recorded_digest_test(
 
 # Runs ``python -m linetrees.cli`` on the argv given as JSON, and prints the
 # exit code and the modules the run loaded, beyond those loaded at start-up.
+# ``run`` ends the process with ``os._exit``; here that raises SystemExit
+# instead, so that the probe lives to print.
 _STARTUP_PROBE = """
-import io, json, runpy, sys
+import io, json, os, runpy, sys
 from contextlib import redirect_stdout
 before = set(sys.modules)
+os._exit = sys.exit
 sys.argv = ["linetrees", *json.loads(sys.argv[1])]
 with redirect_stdout(io.StringIO()):
     try:

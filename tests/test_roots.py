@@ -114,6 +114,22 @@ def test_roots_failure_reports_best_residual(monkeypatch):
         roots_all(build_char_polynomial(2, (0.1, 0.1)))
 
 
+def test_roots_overflow_check_reads_q_not_its_derivative():
+    """Q = 1e301 (X + 1)(X + 2)(X + 1e5): at the root -1e5, Q'(r) is about
+    1e311 and overflows, while the forward |Q(r)| stays finite (about
+    1e300, rounding error times |r|^2).  The overflow check reads |Q(r)|,
+    so the roots are found; the bound at the large root is judged at 1/r."""
+    c3 = 1e301
+    q = CharPolynomial(3, (), (2e5 * c3, (3e5 + 2) * c3, (1e5 + 3) * c3, c3))
+    _, slope, _ = roots_module._horner(q.coefficients, -1e5)
+    assert math.isinf(abs(slope))
+    roots, residual_max = roots_all(q)
+    assert [m for _, m in roots] == [1, 1, 1]
+    for (got, _), want in zip(roots, (-1, -2, -1e5)):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    assert 1e200 < residual_max < math.inf
+
+
 def test_roots_degenerate_constant():
     # e_1 = 1 and e_2 = 0 leaves a constant polynomial after deflation
     q = build_char_polynomial(2, (1.0, 0.0))
