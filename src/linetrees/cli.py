@@ -225,12 +225,11 @@ def _run_verify(args) -> int:
 
 
 def _run_roots(args) -> int:
-    from .roots import build_char_polynomial, rouche_isolation_check
+    from .roots import rouche_isolation_check
 
     d = args.d
     point = _parse_point(args.g)
-    q = build_char_polynomial(d, point)
-    report = rouche_isolation_check(q, args.radius)
+    report = rouche_isolation_check(d, point, args.radius)
     principal = report.principal_root
     doc = {
         "d": d,

@@ -13,13 +13,13 @@ This module is deliberately the only floating-point one in the package:
 roots come from the companion matrix (numpy.roots) under a fixed residual
 contract, judged at 1/r on the reversed polynomial where the bound at r
 overflows, with Newton steps on Q for a root that misses it; exact zeros
-in the leading coefficients are deflated before root finding, and
-near-coincident roots are merged into one root with multiplicity within a
-documented clustering radius, after which the roots must rebuild Q
+in the leading coefficients are deflated before root finding, and a root
+within CLUSTER_RADIUS * min(1, |c|) of a cluster's centroid c joins it as
+one root with multiplicity, after which the roots must rebuild Q
 coefficient by coefficient.  The contract's four numeric constants,
 RESIDUAL_TOL, POLISH_STEPS, CLUSTER_RADIUS and REBUILD_TOL, live here and
-nowhere else; no option changes them.  The two records, ``CharPolynomial``
-and ``RootReport``, are immutable NamedTuples.
+nowhere else; no option changes them.  Q travels as its coefficient tuple,
+``[k]`` multiplying X^k; ``RootReport`` is an immutable NamedTuple.
 
 numpy is imported on the first root-finding call, not with this module:
 importing numpy (about 0.1 s) costs more than building a polynomial, and
@@ -40,7 +40,7 @@ from .limits import check_colors
 # test can patch it.
 RESIDUAL_TOL = 1e-10
 
-# Roots closer than this are reported as one root with multiplicity.
+# A root within this times min(1, |c|) of a cluster's centroid c joins it.
 CLUSTER_RADIUS = 1e-7
 
 # Newton steps on Q that ``roots_all`` may spend on a root failing its
@@ -52,29 +52,6 @@ POLISH_STEPS = 3
 # RESIDUAL_TOL can miss by about 1e-9 together; a root that stands in for
 # another misses by far more.
 REBUILD_TOL = 1e-8
-
-
-class CharPolynomial(NamedTuple):
-    """Q(X) at a fixed point g; ``coefficients[k]`` multiplies X^k."""
-
-    d: int
-    point: tuple[complex, ...]
-    coefficients: tuple[complex, ...]
-
-    def __call__(self, x: complex) -> complex:
-        return _horner(self.coefficients, x)[0]
-
-    @property
-    def effective_degree(self) -> int:
-        """Degree after dropping exactly-zero leading coefficients.
-
-        Only exact zeros deflate (they arise when some g_i = 0); there is no
-        epsilon threshold here.
-        """
-        degree = len(self.coefficients) - 1
-        while degree > 0 and self.coefficients[degree] == 0:
-            degree -= 1
-        return degree
 
 
 class RootReport(NamedTuple):
@@ -89,9 +66,9 @@ class RootReport(NamedTuple):
     principal_root: complex | None
 
 
-def build_char_polynomial(d: int, point: Sequence[complex]) -> CharPolynomial:
-    """Assemble Q(X) from the point: elementary symmetric coefficients with
-    the degree-one coefficient shifted by -1."""
+def build_char_polynomial(d: int, point: Sequence[complex]) -> tuple[complex, ...]:
+    """Q(X)'s coefficients at the point, ``[k]`` multiplying X^k: elementary
+    symmetric coefficients with the degree-one coefficient shifted by -1."""
     check_colors(d)
     gs = tuple(complex(g) for g in point)
     if len(gs) != d:
@@ -107,7 +84,7 @@ def build_char_polynomial(d: int, point: Sequence[complex]) -> CharPolynomial:
     elementary[1] -= 1
     if not all(cmath.isfinite(c) for c in elementary):
         raise DomainError(f"point {point} is too large: the coefficients of Q are not finite")
-    return CharPolynomial(d, gs, tuple(elementary))
+    return tuple(elementary)
 
 
 def _horner(coeffs: Sequence[complex], r: complex) -> tuple[complex, complex, float]:
@@ -123,12 +100,12 @@ def _horner(coeffs: Sequence[complex], r: complex) -> tuple[complex, complex, fl
 
 
 def _cluster(roots: Sequence[complex]) -> list[tuple[complex, int]]:
-    """Greedy merge of roots within CLUSTER_RADIUS into (centroid, multiplicity)."""
+    """Greedy merge of roots into (centroid, multiplicity); see CLUSTER_RADIUS."""
     clusters: list[list[complex]] = []
     for r in sorted(roots, key=lambda z: (abs(z), z.real, z.imag)):
         for members in clusters:
             center = sum(members) / len(members)
-            if abs(r - center) <= CLUSTER_RADIUS:
+            if abs(r - center) <= CLUSTER_RADIUS * min(1, abs(center)):
                 members.append(r)
                 break
         else:
@@ -139,9 +116,9 @@ def _cluster(roots: Sequence[complex]) -> list[tuple[complex, int]]:
     ]
 
 
-def roots_all(q: CharPolynomial) -> tuple[tuple[tuple[complex, int], ...], float]:
-    """``(roots, residual_max)``: the roots of the deflated polynomial with
-    their multiplicities, via the companion matrix, and the largest |Q(r)|.
+def roots_all(coefficients: Sequence[complex]) -> tuple[tuple[tuple[complex, int], ...], float]:
+    """``(roots, residual_max)``: the roots of Q = sum_k coefficients[k] X^k
+    with their multiplicities, via the companion matrix, and the largest |Q(r)|.
 
     Every reported root r must have a small backward error,
     |Q(r)| <= RESIDUAL_TOL * sum_k |c_k| |r|^k: r is then an exact root of
@@ -159,7 +136,9 @@ def roots_all(q: CharPolynomial) -> tuple[tuple[tuple[complex, int], ...], float
     also raises RootFindingFailure, and so do roots that, with their
     multiplicities, do not rebuild Q (``_check_rebuild``).
     """
-    coeffs = q.coefficients[: q.effective_degree + 1]
+    coeffs = list(coefficients)
+    while len(coeffs) > 1 and coeffs[-1] == 0:  # deflate exact zeros (some g_i = 0)
+        coeffs.pop()
     if len(coeffs) < 2:
         raise DegenerateError(
             "polynomial is constant after deflation; no roots to find"
@@ -218,19 +197,21 @@ def _check_rebuild(coeffs: Sequence[complex], roots: Sequence[tuple[complex, int
             )
 
 
-def rouche_isolation_check(q: CharPolynomial, radius: float) -> RootReport:
-    """Count roots inside |X| < radius and test the isolation hypothesis.
+def rouche_isolation_check(d: int, point: Sequence[complex], radius: float) -> RootReport:
+    """Count the roots of Q at the point inside |X| < radius and test the
+    isolation hypothesis; d and the point are checked before the radius.
 
     Computes epsilon_R = (radius^(1/d) - 1) / radius and flags the point
     admissible when max_i |g_i| < epsilon_R.  At admissible points exactly
     one root lies inside, and it is the principal root (the branch of F).
     Inadmissible points still get a full report, just no guarantee.
     """
+    coefficients = build_char_polynomial(d, point)
     if not 1 < radius < math.inf:
         raise DomainError(f"radius must be finite and exceed 1, got {radius}")
-    epsilon = (radius ** (1.0 / q.d) - 1.0) / radius
-    admissible = max(abs(g) for g in q.point) < epsilon
-    roots, residual_max = roots_all(q)
+    epsilon = (radius ** (1.0 / d) - 1.0) / radius
+    admissible = max(abs(complex(g)) for g in point) < epsilon
+    roots, residual_max = roots_all(coefficients)
     inside = [(r, mult) for r, mult in roots if abs(r) < radius]
     inside_count = sum(mult for _, mult in inside)
     return RootReport(

@@ -111,14 +111,16 @@ def count_by_profile_bruteforce(d: int, max_total: int) -> dict[tuple[int, ...],
     """Tally the enumeration by color profile, keyed by count tuple.
 
     The returned map has an entry for every profile with total <= max_total
-    (every profile is realized by at least one chain).
+    (every profile is realized by at least one chain).  d is checked first,
+    then ``max_total`` under its own name.
     """
     # A tree's color word is its encoding with "(),:" deleted: one digit per
     # edge, because every color is one digit (MAX_COLORS <= 9).  A batch of
     # encodings takes one translate and one split; batching bounds the joined
     # text's memory.  Each distinct word is then folded into its profile.
     words: Counter[bytes] = Counter()
-    stream = enumerate_by_lines(d, max_total)
+    check_colors(d)
+    stream = enumerate_by_lines(d, check_int("max_total", max_total))
     while batch := list(itertools.islice(stream, _TALLY_BATCH)):
         words.update("\n".join(batch).encode().translate(None, b"(),:").split(b"\n"))
     digits = [str(color).encode() for color in range(1, d + 1)]

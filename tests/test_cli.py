@@ -702,7 +702,7 @@ def _roots_meet_their_bounds(g: list[float], doc: dict) -> None:
     overflows, the first bound is judged divided by |r|^d, on Q's reversed
     coefficients at 1/r.  Q is taken without its exactly-zero leading
     coefficients, as the root finder deflates them."""
-    q = list(build_char_polynomial(len(g), g).coefficients)
+    q = list(build_char_polynomial(len(g), g))
     while q[-1] == 0:
         q.pop()
     found = [complex(r["re"], r["im"]) for r in doc["roots"] for _ in range(r["mult"])]

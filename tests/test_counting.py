@@ -33,8 +33,8 @@ from linetrees.series import (
     verify_geometric,
     verify_linear_recursion,
 )
-from linetrees.trees import encode, enumerate_by_lines
-from linetrees.verification import dyck_paths_by_peaks, verify_fuss_catalan_rows
+from linetrees.trees import count_by_profile_bruteforce, encode, enumerate_by_lines
+from linetrees.verification import dyck_paths_by_peaks, verify_fuss_catalan_rows, verify_oracle
 from reference_trees import MAX_DEPTH, decode, profile_counts
 
 
@@ -301,6 +301,9 @@ INT_ARGUMENTS = [
     ("profiles_with_total-total", lambda x: list(profiles_with_total(2, x)), "total", (1.5, True)),
     ("closed_form_table-max_total", lambda x: closed_form_table(2, 1, x), "max_total", (1.5, True)),
     ("enumerate_by_lines-max_lines", lambda x: enumerate_by_lines(2, x), "max_lines", (1.5, True)),
+    ("count_by_profile_bruteforce-max_total", lambda x: count_by_profile_bruteforce(3, x),
+     "max_total", (1.5, True)),
+    ("verify_oracle-max_total", lambda x: verify_oracle(3, x), "max_total", (1.5, True)),
     ("verify_fuss_catalan_rows-p_max", lambda x: verify_fuss_catalan_rows(2, x), "p_max", (1.5, True)),
     ("dyck_paths_by_peaks-n_max", dyck_paths_by_peaks, "n_max", (1.5, True)),
     ("multiseries-d", lambda x: MultiSeries(x, 2), "d", (1.5, True)),
@@ -329,6 +332,9 @@ OUT_OF_RANGE = [
      "max_total must be >= 0, got -1"),
     ("enumerate_by_lines-max_lines", lambda x: enumerate_by_lines(2, x), -1,
      "max_lines must be >= 0, got -1"),
+    ("count_by_profile_bruteforce-max_total", lambda x: count_by_profile_bruteforce(3, x), -1,
+     "max_total must be >= 0, got -1"),
+    ("verify_oracle-max_total", lambda x: verify_oracle(3, x), -1, "max_total must be >= 0, got -1"),
     ("request-count", lambda x: SampleRequest((1, 1), x, 0), 0, "count must be >= 1, got 0"),
     ("below-bound", lambda x: SplitMix64(0).below(x), 0, "bound must be >= 1, got 0"),
     ("verify_fuss_catalan_rows-p_max", lambda x: verify_fuss_catalan_rows(2, x), 0,

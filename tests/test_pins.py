@@ -128,7 +128,10 @@ COUNT_CAPS = [
 # cli-mix's seed-0 d=8 point and a d=2 point with g_1 = 1e-300 are
 # admissible with one root inside the radius.  The root of 1 - X/2 lies on
 # the circle |X| = 2, so none is inside; at R = 4, epsilon_R is 0.25 exactly,
-# so a point with max |g_i| = 0.25 is not admissible.  At the d=4 point the
+# so a point with max |g_i| = 0.25 is not admissible.  At g = (1e8, 2e8) the
+# roots -1e-8 and -5e-9, and at g = (1e206, 1e100, 1e-5) the roots -1e-206
+# and -1e-100, lie within CLUSTER_RADIUS of each other but stay two roots,
+# since below |c| = 1 the radius is relative.  At the d=4 point the
 # companion matrix returns the root near 1 twice, in place of the one near
 # -1.45e9; each copy meets its own bound, and only the rebuilt Q shows it.
 ROOTS = [
@@ -137,6 +140,8 @@ ROOTS = [
     Pin("roots --d 2 --g=1e-300,0.05", 0, "json", {"admissible": True, "inside_count": 1}),
     Pin("roots --d 2 --g=0.5,0 --radius 2", 0, "json", {"inside_count": 0}),
     Pin("roots --d 2 --g=0.25,0.1 --radius 4", 0, "json", {"admissible": False}),
+    Pin("roots --d 2 --g=1e8,2e8", 0, "json", {"admissible": False, "inside_count": 2}),
+    Pin("roots --d 3 --g=1e206,1e100,1e-5", 0, "json", {"admissible": False, "inside_count": 2}),
     Pin("roots --d 4 --g=6.16e-103,-3.22e-05,2.14e-05,5.79e-32 --radius 2.0", 4, "stderr",
         "error: the roots with their multiplicities do not rebuild coefficient 0 of Q within "
         "a relative 1e-08\n"),
@@ -157,6 +162,8 @@ ERRORS = [
          "seed must be an unsigned 64-bit integer, got -1"),
         ("sample --d 2 --profile 1,1 --count 0", "count must be >= 1, got 0"),
         ("count --d 9 --profile 1,1", "d must be an integer in 2..8, got 9"),
+        # A bad point is reported before a bad radius.
+        ("roots --d 2 --g=0.1 --radius 1", "point has 1 entries but d=2"),
     ]
 ]
 

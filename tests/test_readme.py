@@ -2,9 +2,12 @@
 
 import argparse
 import re
+import shlex
 from pathlib import Path
 
-from linetrees.cli import VERIFY_KINDS, _build_parser
+import pytest
+
+from linetrees.cli import VERIFY_KINDS, _build_parser, main
 from linetrees.limits import CAPS, MAX_COLORS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -89,3 +92,30 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def cli_examples():
+    """(argv, comment) for each ``linetrees`` line of the CLI section's sh
+    block; the comment is the text after ``#``, or empty."""
+    block = re.search(r"^```sh\n(.*?)^```$", README.split("## CLI", 1)[1],
+                      re.MULTILINE | re.DOTALL).group(1)
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if command.startswith("linetrees "):
+            examples.append((shlex.split(command)[1:], comment.strip()))
+    return examples
+
+
+CLI_EXAMPLES = cli_examples()
+
+
+@pytest.mark.parametrize("argv,comment", CLI_EXAMPLES, ids=[" ".join(a) for a, _ in CLI_EXAMPLES])
+def test_readme_cli_examples_run(capsys, argv, comment):
+    """Every CLI example exits 0, and a comment that starts with ``{`` is
+    the line the command prints."""
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    if comment.startswith("{"):
+        assert out == comment + "\n"

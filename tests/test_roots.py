@@ -11,8 +11,8 @@ from linetrees import roots as roots_module
 from linetrees.errors import DegenerateError, DomainError, RootFindingFailure
 from linetrees.roots import (
     CLUSTER_RADIUS,
-    CharPolynomial,
     _cluster,
+    _horner,
     build_char_polynomial,
     roots_all,
     rouche_isolation_check,
@@ -52,17 +52,17 @@ def quadratic_roots(g1, g2):
 
 def test_build_coefficients_d2():
     q = build_char_polynomial(2, (0.1, 0.2))
-    assert q.coefficients[0] == 1
-    assert abs(q.coefficients[1] - (0.1 + 0.2 - 1)) < 1e-15
-    assert abs(q.coefficients[2] - 0.1 * 0.2) < 1e-18
+    assert q[0] == 1
+    assert abs(q[1] - (0.1 + 0.2 - 1)) < 1e-15
+    assert abs(q[2] - 0.1 * 0.2) < 1e-18
 
 
 def test_build_coefficients_d3():
     a, b, c = 0.1, 0.2, 0.3
     q = build_char_polynomial(3, (a, b, c))
-    assert abs(q.coefficients[1] - (a + b + c - 1)) < 1e-15
-    assert abs(q.coefficients[2] - (a * b + a * c + b * c)) < 1e-15
-    assert abs(q.coefficients[3] - a * b * c) < 1e-17
+    assert abs(q[1] - (a + b + c - 1)) < 1e-15
+    assert abs(q[2] - (a * b + a * c + b * c)) < 1e-15
+    assert abs(q[3] - a * b * c) < 1e-17
 
 
 def test_build_rejects_bad_shapes():
@@ -76,15 +76,15 @@ def test_build_rejects_bad_shapes():
 
 def test_deflation_at_zero_point():
     q = build_char_polynomial(2, (0.0, 0.0))
-    assert q.coefficients == (1 + 0j, -1 + 0j, 0j)
-    assert q.effective_degree == 1
+    assert q == (1 + 0j, -1 + 0j, 0j)
+    assert roots_all(q) == roots_all(q[:2])  # the zero X^2 coefficient is dropped
     roots, _ = roots_all(q)
     assert roots == (((1 + 0j), 1),)
 
 
 def test_partial_deflation():
     q = build_char_polynomial(2, (0.1, 0.0))
-    assert q.effective_degree == 1
+    assert q[2] == 0 and roots_all(q) == roots_all(q[:2])
     ((root, mult),), _ = roots_all(q)
     assert mult == 1
     assert abs(root - 1 / 0.9) < 1e-12
@@ -102,10 +102,10 @@ def test_roots_d2_match_quadratic_oracle():
 def test_roots_residual_contract():
     q = build_char_polynomial(3, (0.01, 0.05, 0.1))
     roots, residual_max = roots_all(q)
-    scale = max(abs(c) for c in q.coefficients)
+    scale = max(abs(c) for c in q)
     assert residual_max <= 1e-10 * scale
     for root, _ in roots:
-        assert abs(q(root)) <= 1e-10 * scale
+        assert abs(_horner(q, root)[0]) <= 1e-10 * scale
 
 
 def test_roots_failure_reports_best_residual(monkeypatch):
@@ -120,8 +120,8 @@ def test_roots_overflow_check_reads_q_not_its_derivative():
     1e300, rounding error times |r|^2).  The overflow check reads |Q(r)|,
     so the roots are found; the bound at the large root is judged at 1/r."""
     c3 = 1e301
-    q = CharPolynomial(3, (), (2e5 * c3, (3e5 + 2) * c3, (1e5 + 3) * c3, c3))
-    _, slope, _ = roots_module._horner(q.coefficients, -1e5)
+    q = (2e5 * c3, (3e5 + 2) * c3, (1e5 + 3) * c3, c3)
+    _, slope, _ = _horner(q, -1e5)
     assert math.isinf(abs(slope))
     roots, residual_max = roots_all(q)
     assert [m for _, m in roots] == [1, 1, 1]
@@ -133,12 +133,15 @@ def test_roots_overflow_check_reads_q_not_its_derivative():
 def test_roots_degenerate_constant():
     # e_1 = 1 and e_2 = 0 leaves a constant polynomial after deflation
     q = build_char_polynomial(2, (1.0, 0.0))
-    assert q.effective_degree == 0
-    with pytest.raises(DegenerateError):
+    assert q[1:] == (0j, 0j)
+    with pytest.raises(DegenerateError, match="constant after deflation"):
         roots_all(q)
 
 
 def test_cluster_merges_within_radius():
+    """A root joins a cluster within CLUSTER_RADIUS * min(1, |c|) of its
+    centroid c: -1e-8 and -5e-9, the roots of Q at g = (1e8, 2e8), lie
+    closer than CLUSTER_RADIUS but stay apart."""
     merged = _cluster([1.0 + 0j, 1.0 + 1e-9j, 4.0 + 0j])
     assert sorted((abs(c), m) for c, m in merged) == [
         (pytest.approx(1.0), 2),
@@ -146,6 +149,8 @@ def test_cluster_merges_within_radius():
     ]
     apart = _cluster([1.0 + 0j, 1.0 + 1e-3j])
     assert [m for _, m in apart] == [1, 1]
+    assert _cluster([-1e-8 + 0j, -5e-9 + 0j]) == [(-5e-9 + 0j, 1), (-1e-8 + 0j, 1)]
+    assert [m for _, m in _cluster([-1e-8 + 0j, -1e-8 * (1 + 1e-9) + 0j])] == [2]
     assert CLUSTER_RADIUS == 1e-7
 
 
@@ -157,23 +162,25 @@ def test_double_root_point():
 
 
 def test_rouche_epsilon_and_admissibility():
-    q = build_char_polynomial(2, (0.1, 0.1))
-    report = rouche_isolation_check(q, 2.0)
+    report = rouche_isolation_check(2, (0.1, 0.1), 2.0)
     assert math.isclose(report.epsilon_used, (math.sqrt(2) - 1) / 2)
     assert report.admissible is True
     assert report.inside_count == 1
     assert abs(report.principal_root - 1.2701665379258313) < 1e-9
 
-    loud = rouche_isolation_check(build_char_polynomial(2, (0.3, 0.3)), 2.0)
+    loud = rouche_isolation_check(2, (0.3, 0.3), 2.0)
     assert loud.admissible is False
 
     with pytest.raises(DomainError):
-        rouche_isolation_check(q, 1.0)
+        rouche_isolation_check(2, (0.1, 0.1), 1.0)
+    # The point is checked before the radius.
+    with pytest.raises(DomainError, match=r"^point has 1 entries but d=2$"):
+        rouche_isolation_check(2, (0.1,), 1.0)
 
 
 def test_rouche_at_zero_point():
     for radius in (1.5, 2.0, 10.0):
-        report = rouche_isolation_check(build_char_polynomial(3, (0.0, 0.0, 0.0)), radius)
+        report = rouche_isolation_check(3, (0.0, 0.0, 0.0), radius)
         assert report.inside_count == 1
         assert report.principal_root == 1
 
@@ -182,7 +189,7 @@ def test_rouche_at_zero_point():
 def test_isolation_grid(d):
     """Every admissible grid point has exactly one root inside radius 2."""
     for point in itertools.product((0.01, 0.05, 0.1), repeat=d):
-        report = rouche_isolation_check(build_char_polynomial(d, point), 2.0)
+        report = rouche_isolation_check(d, point, 2.0)
         assert report.admissible
         assert report.inside_count == 1
 
@@ -199,15 +206,15 @@ def test_isolation_with_a_near_zero_coordinate(d):
             point = [rng.uniform(-0.9, 0.9) * epsilon for _ in range(d)]
             point[rng.randrange(d)] *= 10 ** -rng.uniform(1, 8)
             q = build_char_polynomial(d, point)
-            report = rouche_isolation_check(q, radius)
+            report = rouche_isolation_check(d, point, radius)
             assert report.admissible and report.inside_count == 1
             for root, _ in report.roots:
-                scale = sum(abs(c) * abs(root) ** k for k, c in enumerate(q.coefficients))
-                assert abs(q(root)) <= 1e-10 * scale
+                scale = sum(abs(c) * abs(root) ** k for k, c in enumerate(q))
+                assert abs(_horner(q, root)[0]) <= 1e-10 * scale
 
 
 def test_series_root_consistency_improves_with_order():
-    report = rouche_isolation_check(build_char_polynomial(2, (0.1, 0.1)), 2.0)
+    report = rouche_isolation_check(2, (0.1, 0.1), 2.0)
     errors = [
         abs(solve_tree_equation(2, order).evaluate((0.1, 0.1)) - report.principal_root)
         for order in (4, 8, 12, 16, 20)
@@ -217,7 +224,7 @@ def test_series_root_consistency_improves_with_order():
 
 
 def test_d3_root_matches_order12_series():
-    report = rouche_isolation_check(build_char_polynomial(3, (0.01, 0.01, 0.01)), 2.0)
+    report = rouche_isolation_check(3, (0.01, 0.01, 0.01), 2.0)
     value = solve_tree_equation(3, 12).evaluate((0.01, 0.01, 0.01))
     assert abs(report.principal_root - value) < 1e-8
 
@@ -246,8 +253,8 @@ def test_d2_closed_form_complex_branch():
     g = 0.01 * cmath.exp(0.5j)
     x0, x1 = d2_closed_form(g, g)
     q = build_char_polynomial(2, (g, g))
-    assert abs(q(x0)) < 1e-10
-    assert abs(q(x1)) < 1e-6 * abs(x1) ** 2
+    assert abs(_horner(q, x0)[0]) < 1e-10
+    assert abs(_horner(q, x1)[0]) < 1e-6 * abs(x1) ** 2
     assert abs(x0 - 1) < 0.1  # principal branch stays near 1
 
 
@@ -257,6 +264,6 @@ def test_d2_closed_form_degenerate():
 
 
 def test_char_polynomial_evaluation():
-    q = CharPolynomial(2, (0.1 + 0j, 0.1 + 0j), (1 + 0j, -0.8 + 0j, 0.01 + 0j))
+    q = (1 + 0j, -0.8 + 0j, 0.01 + 0j)
     x0, _ = quadratic_roots(0.1, 0.1)
-    assert abs(q(x0)) < 1e-12
+    assert abs(_horner(q, x0)[0]) < 1e-12
