@@ -25,8 +25,10 @@ A process loads only what its command runs: building the parser needs
 Every multi-line output (trees, csv rows, series coefficients, verify
 failures) goes through ``_write_lines``, which joins lines in batches and
 writes each batch in pieces of at most ``select.PIPE_BUF`` bytes, not one
-write per line.  A pipe write of at most PIPE_BUF bytes is atomic: it lands
-whole or fails with EPIPE.  A larger one can land in part when the reader
+write per line.  It can put a fixed prefix and suffix around each line in
+the batch's one join, so a tree line, json or text, is never formatted on
+its own.  A pipe write of at most PIPE_BUF bytes is atomic: it lands whole
+or fails with EPIPE.  A larger one can land in part when the reader
 goes away, and an unbuffered stdout (``PYTHONUNBUFFERED``) drops that count,
 so the command would end with 0 and truncated output instead of 141.
 """
@@ -74,9 +76,11 @@ def _print_json(doc) -> None:
     print(json.dumps(doc, allow_nan=False))
 
 
-def _write_lines(lines) -> None:
-    """Write ``lines``, each ending in its line terminator, to stdout: joined
-    ``_BATCH_LINES`` at a time, each batch in pieces of at most
+def _write_lines(lines, prefix: str = "", suffix: str = "") -> None:
+    """Write ``prefix + line + suffix`` to stdout for each of ``lines``; the
+    line, or else ``suffix``, ends in the line terminator.  Each batch of
+    ``_BATCH_LINES`` lines is one join, ``prefix + (suffix +
+    prefix).join(batch) + suffix``, written in pieces of at most
     ``select.PIPE_BUF`` characters (the module docstring says why).
 
     Every output is ASCII (the tree grammar, ``json.dumps`` with
@@ -86,10 +90,12 @@ def _write_lines(lines) -> None:
     from select import PIPE_BUF
 
     write = sys.stdout.write
+    separator = suffix + prefix
     lines = iter(lines)
-    while batch := "".join(itertools.islice(lines, _BATCH_LINES)):
-        for start in range(0, len(batch), PIPE_BUF):
-            write(batch[start : start + PIPE_BUF])
+    while batch := list(itertools.islice(lines, _BATCH_LINES)):
+        text = prefix + separator.join(batch) + suffix
+        for start in range(0, len(text), PIPE_BUF):
+            write(text[start : start + PIPE_BUF])
 
 
 def _csv_out(header, rows) -> None:
@@ -108,12 +114,12 @@ def _print_trees(encodings, fmt: str, **fields) -> None:
     if fmt == "csv":
         _csv_out(["tree"], ([text] for text in encodings))
     elif fmt == "json":
-        # The encoding grammar never needs JSON escaping, so each line is one
-        # template with the encoding put between the quotes of "tree".
+        # The encoding grammar never needs JSON escaping, so each line is the
+        # encoding put between the quotes of "tree" in one fixed document.
         head, tail = json.dumps({"tree": "", **fields}, allow_nan=False).split('""', 1)
-        _write_lines(f'{head}"{text}"{tail}\n' for text in encodings)
+        _write_lines(encodings, f'{head}"', f'"{tail}\n')
     else:
-        _write_lines(f"{text}\n" for text in encodings)
+        _write_lines(encodings, suffix="\n")
 
 
 def _run_count(args) -> int:

@@ -16,13 +16,15 @@ exactly one encoding and distinct trees have distinct encodings.
 :meth:`linetrees.counting.ProfileCountTable.rank` accepts only this
 canonical text.
 
-The enumerator works on encodings alone: it fills one template per set of
-root colors, such as ``"(1:{},3:{})"``, with its children's finished
-encodings and yields plain strings, as the unranker of
-:mod:`linetrees.counting` does.  ``encode`` turns a tree given as plain data,
-a tuple of (color, subtree) pairs with the leaf ``()``, into its encoding;
-``(1:(2:()),3:())`` is ``((1, ((2, ()),)), (3, ()))``.  The tests build their
-reference trees this way.
+The enumerator works on encodings alone: for each set of root colors and
+split of the edges among the children, it joins the root's color heads,
+such as ``"(1:"`` and ``",3:"``, with every combination of the children's
+finished encodings and a closing ``")"``, one ``str.join`` per tree, and
+yields plain strings, as the unranker of :mod:`linetrees.counting` does.
+``encode`` turns a tree given as plain data, a tuple of (color, subtree)
+pairs with the leaf ``()``, into its encoding; ``(1:(2:()),3:())`` is
+``((1, ((2, ()),)), (3, ()))``.  The tests build their reference trees this
+way.
 """
 
 from __future__ import annotations
@@ -75,16 +77,18 @@ def enumerate_by_lines(d: int, max_lines: int) -> Iterator[str]:
     """
     check_colors(d)
     check_int("max_lines", max_lines)
-    return _enumerate_levels(d, max_lines)
+    # ``chain`` hands out each level's encodings in C; a level is built and
+    # sorted when the stream reaches it.
+    return itertools.chain.from_iterable(_enumerate_levels(d, max_lines))
 
 
-def _enumerate_levels(d: int, max_lines: int) -> Iterator[str]:
+def _enumerate_levels(d: int, max_lines: int) -> Iterator[list[str]]:
     levels: list[list[str]] = []
     for lines in range(max_lines + 1):
         level = _trees_with_exact_lines(d, lines, levels)
         level.sort()
         levels.append(level)
-        yield from level
+        yield level
 
 
 def _trees_with_exact_lines(
@@ -92,18 +96,19 @@ def _trees_with_exact_lines(
 ) -> list[str]:
     # Decompose at the root: pick the set of child colors, then split the
     # remaining edges among the subtrees.  Each tree arises exactly once.
-    # One template per color set, such as "(1:{},3:{})", takes the children's
-    # finished encodings in the ascending color order that ``encode`` writes
-    # them; the grammar has no braces, so ``str.format`` copies them as they
-    # are.
+    # For colors (1, 3) and sizes (a, b), ``product`` walks the pieces
+    # ("(1:",), smaller[a], (",3:",), smaller[b], (")",) and each tuple it
+    # yields joins into one encoding, children in the ascending color order
+    # that ``encode`` writes them.
     if lines == 0:
         return ["()"]
     out: list[str] = []
     for arity in range(1, min(d, lines) + 1):
         for colors in itertools.combinations(range(1, d + 1), arity):
-            fmt = "({})".format(",".join(f"{color}:{{}}" for color in colors)).format
+            heads = [(f"{sep}{color}:",) for sep, color in zip("(" + "," * arity, colors)]
             for sizes in profiles_with_total(arity, lines - arity):
-                out.extend(itertools.starmap(fmt, itertools.product(*(smaller[s] for s in sizes))))
+                pieces = itertools.chain(*zip(heads, (smaller[s] for s in sizes)), [(")",)])
+                out.extend(map("".join, itertools.product(*pieces)))
     return out
 
 

@@ -39,6 +39,10 @@ MAX_LINES_CAPS = [
     Pin("enumerate --d 3 --max-lines 8 --format text", 0, "lines", 299462),
     Pin("enumerate --d 3 --max-lines 8 --format text", 0, "sha256",
         "91cd1557b3bedc558dcb8d5f15b58ea0c13f1d74b83dfebe930506f12b0da5d8"),
+    # The one cap enumeration no benchmark digest covers, recorded at commit
+    # f7485ea.
+    Pin("enumerate --d 7 --max-lines 4 --format text", 0, "sha256",
+        "7e1346362e8a76d3c3d57ffb14470ef0a816b6272e8811bbd11020ccf3dcda23"),
 ]
 
 # The slowest inputs at the d=8 order cap, each series-route identity: the
@@ -164,6 +168,8 @@ ERRORS = [
         ("count --d 9 --profile 1,1", "d must be an integer in 2..8, got 9"),
         # A bad point is reported before a bad radius.
         ("roots --d 2 --g=0.1 --radius 1", "point has 1 entries but d=2"),
+        # A well-formed point where Q is the constant 1: there is no root.
+        ("roots --d 2 --g=1,0", "polynomial is constant after deflation; no roots to find"),
     ]
 ]
 

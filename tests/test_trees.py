@@ -195,7 +195,13 @@ def test_enumerate_order_by_lines_then_lexicographic():
         assert level == sorted(level)
 
 
-@pytest.mark.parametrize("d,max_lines", [(2, 7), (3, 5), (4, 4)])
+# Small budgets, then every d at its CLI max_lines cap, except d=3 at 7
+# lines (52,787 trees) in place of its 299,462 at 8.
+@pytest.mark.parametrize(
+    "d,max_lines",
+    [(2, 7), (3, 5), (4, 4)]
+    + [(d, 7 if d == 3 else CAPS["max_lines"][d]) for d in range(2, MAX_COLORS + 1)],
+)
 def test_enumerate_carries_each_trees_encoding(d, max_lines):
     """Each string decodes to a valid tree and re-encodes to itself, and each
     level's strings are strictly increasing."""
